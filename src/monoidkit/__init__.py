@@ -6,17 +6,11 @@ from .elements import (
     EqRel,
     PartialMap,
     Partition,
-    compose_pm,
     element_count,
     embed,
     enumerate_elements,
-    eqrel_join,
     identity_of,
     is_kind,
-    partition_compose,
-    partition_profile,
-    partition_star,
-    pm_profile,
 )
 from .order import OrderVerdict, generalized_inverses, is_idempotent, leq_L, leq_R, leq_oracle, natural_leq
 from .congruence import (
@@ -24,7 +18,6 @@ from .congruence import (
     RightCongruence,
     YSequence,
     annihilator,
-    close_monoid,
     is_right_congruence,
     kappa,
     rc_close,

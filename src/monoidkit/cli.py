@@ -18,7 +18,7 @@ from .ideals import meet, verify_meet
 from .order import leq_L, leq_R, leq_oracle
 from .pmonoid import chain_search, check_nc, check_presentation, in_annihilator, annihilator_witness
 from .textio import ParseError, format_element, parse_element, render_partition
-from .verify import SUITES, cached_monoid, delta, run_suite, suite_nc, suite_presentation
+from .verify import SUITES, cached_monoid, delta, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,10 +142,6 @@ def cmd_meet(args) -> int:
     return 0
 
 
-def _monoid_for(args):
-    return cached_monoid(args.kind, args.n)
-
-
 def _parse_pairs(kind, n, raw_pairs):
     pairs = []
     for ta, tb in raw_pairs:
@@ -157,7 +153,7 @@ def _parse_pairs(kind, n, raw_pairs):
 
 
 def cmd_cong_close(args) -> int:
-    S = _monoid_for(args)
+    S = cached_monoid(args.kind, args.n)
     pairs = _parse_pairs(args.kind, args.n, args.pair)
     rho = rc_close(S, pairs)
     _print_classes(rho)
@@ -174,7 +170,7 @@ def cmd_cong_close(args) -> int:
 
 
 def cmd_annihilator(args) -> int:
-    S = _monoid_for(args)
+    S = cached_monoid(args.kind, args.n)
     elem = parse_element(args.kind, args.elem)
     pairs = _parse_pairs(args.kind, args.n, args.pair)
     rho = rc_close(S, pairs) if pairs else delta(S)
@@ -235,12 +231,7 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        if name == "presentation":
-            result = suite_presentation(args.max_k)
-        elif name == "nc":
-            result = suite_nc(args.max_n)
-        else:
-            result = run_suite(name, seed=args.seed)
+        result = run_suite(name, seed=args.seed, max_k=args.max_k, max_n=args.max_n)
         print(result.line())
         all_ok &= result.ok
     return 0 if all_ok else 1

@@ -3,10 +3,9 @@ annihilator congruences, and power-orbit congruences.
 
 The closure engine is a worklist over (generating pair, multiplier) items:
 each item contributes the relation instance (c*t, d*t) and spawns children
-(pair, t*s) for every monoid generator s.  Because every element is a product
-of generators, the multipliers sweep the whole monoid, and every union-find
-merge is justified by a single one-step instance, which is exactly what a
-witnessing sequence needs.
+(pair, t*s) for every monoid element s.  The multipliers therefore sweep the
+whole monoid, and every union-find merge is justified by a single one-step
+instance, which is exactly what a witnessing sequence needs.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .elements import EqRel, enumerate_elements, identity_of, DEFAULT_ENUM_CAP
+from .elements import EqRel, enumerate_elements, find, identity_of, DEFAULT_ENUM_CAP
 
 
 class FiniteMonoid:
@@ -25,7 +24,7 @@ class FiniteMonoid:
     row by row, so repeated ideal and congruence computations stay cheap.
     """
 
-    def __init__(self, elements, gens=None, mul=None, check=True):
+    def __init__(self, elements, mul=None, check=True):
         self.elements = list(elements)
         if not self.elements:
             raise ValueError("a monoid needs at least an identity")
@@ -38,7 +37,6 @@ class FiniteMonoid:
         self._rows = [None] * len(self.elements)
         self._right_ideals = {}
         self._left_ideals = {}
-        self.gens = tuple(range(len(self.elements))) if gens is None else tuple(gens)
         if check:
             one = self.elements[0]
             for x in self.elements:
@@ -101,54 +99,13 @@ class FiniteMonoid:
     def idempotent_idxs(self):
         return [i for i in range(len(self)) if self.mul_idx(i, i) == i]
 
-    def generated_by_gens(self):
-        """True iff the designated generators regenerate every element."""
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            t = queue.popleft()
-            for s in self.gens:
-                ts = self.mul_idx(t, s)
-                if ts not in seen:
-                    seen.add(ts)
-                    queue.append(ts)
-        return len(seen) == len(self)
-
     def opposite(self):
         """The same elements with reversed multiplication."""
         fn = self._mul_fn
-        return FiniteMonoid(self.elements, gens=self.gens, mul=lambda a, b: fn(b, a), check=False)
+        return FiniteMonoid(self.elements, mul=lambda a, b: fn(b, a), check=False)
 
     def __repr__(self):
-        return f"FiniteMonoid({len(self.elements)} elements, {len(self.gens)} gens)"
-
-
-def close_monoid(kind, n, gens, cap=DEFAULT_ENUM_CAP) -> FiniteMonoid:
-    """Smallest submonoid of the given kind containing `gens`."""
-    one = identity_of(kind, n)
-    for g in gens:
-        if getattr(g, "n", None) != n:
-            raise ValueError(f"generator {g!r} does not live on 1..{n}")
-    elements = [one]
-    index = {one: 0}
-    gen_list = []
-    for g in gens:
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-        gen_list.append(index[g])
-    queue = deque(range(len(elements)))
-    while queue:
-        i = queue.popleft()
-        for g in gens:
-            prod = elements[i] * g
-            if prod not in index:
-                if len(elements) >= cap:
-                    raise ValueError(f"closure exceeded cap {cap}")
-                index[prod] = len(elements)
-                elements.append(prod)
-                queue.append(index[prod])
-    return FiniteMonoid(elements, gens=gen_list, check=False)
+        return f"FiniteMonoid({len(self.elements)} elements)"
 
 
 @dataclass(frozen=True)
@@ -242,13 +199,6 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
     pair_idx = [(S.index_of(a), S.index_of(b)) for a, b in pairs]
     m = len(S)
     parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     edges = []
     adjacency = {}
     seen = set()
@@ -261,21 +211,21 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
         c, d = pair_idx[p]
         u = S.mul_idx(c, t)
         v = S.mul_idx(d, t)
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             edge_id = len(edges)
             edges.append((u, v, p, t))
             adjacency.setdefault(u, []).append(edge_id)
             adjacency.setdefault(v, []).append(edge_id)
-        for s in S.gens:
-            child = (p, S.mul_idx(t, s))
+        for ts in S._row(t):
+            child = (p, ts)
             if child not in seen:
                 seen.add(child)
                 queue.append(child)
     groups = {}
     for x in range(m):
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(find(parent, x), []).append(x)
     eqrel = EqRel(groups.values())
     gen_pairs = tuple((S.elements[a], S.elements[b]) for a, b in pair_idx)
     return RightCongruence(S, eqrel, gen_pairs, edges, adjacency)
@@ -329,7 +279,7 @@ def y_sequence(rho: RightCongruence, a, b):
 
 def is_right_congruence(S: FiniteMonoid, eqrel: EqRel) -> bool:
     """Full compatibility check: every related pair stays related under every
-    right multiplier, not just the designated generators."""
+    right multiplier."""
     for cls in eqrel.classes:
         for s in range(len(S)):
             images = {eqrel.class_of(S.mul_idx(u, s)) for u in cls}
@@ -367,24 +317,10 @@ def kappa(S: FiniteMonoid, s) -> RightCongruence:
         powers.append(cur)
         cur = S.mul_idx(cur, i_s)
     orbits = [frozenset(S.mul_idx(p, u) for p in powers) for u in range(len(S))]
-    parent = list(range(len(S)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(len(S)):
-        for v in range(u + 1, len(S)):
-            if orbits[u] & orbits[v]:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-    groups = {}
-    for x in range(len(S)):
-        groups.setdefault(find(x), []).append(x)
-    eqrel = EqRel(groups.values())
+    # Orbits that share a member are linked through that member's first owner.
+    owner = {}
+    links = [(u, owner.setdefault(w, u)) for u in range(len(S)) for w in orbits[u]]
+    eqrel = EqRel.from_pairs(range(len(S)), links)
     for cls in eqrel.classes:
         for u in cls:
             for v in cls:

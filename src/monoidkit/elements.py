@@ -9,12 +9,20 @@ structures can use dense integer indexing throughout.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from math import comb, factorial
 
 KINDS = ("T", "PT", "I", "P")
 
 DEFAULT_ENUM_CAP = 1_000_000
+
+
+def find(parent, x):
+    """Root of x in a union-find forest stored as a parent list or dict,
+    halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 class EqRel:
@@ -54,22 +62,15 @@ class EqRel:
         """Smallest equivalence on `carrier` containing all given pairs."""
         carrier = sorted(set(carrier))
         parent = {x: x for x in carrier}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b in pairs:
             if a not in parent or b not in parent:
                 raise ValueError(f"pair ({a},{b}) not inside carrier")
-            ra, rb = find(a), find(b)
+            ra, rb = find(parent, a), find(parent, b)
             if ra != rb:
                 parent[ra] = rb
         groups = {}
         for x in carrier:
-            groups.setdefault(find(x), []).append(x)
+            groups.setdefault(find(parent, x), []).append(x)
         return cls(groups.values())
 
     @property
@@ -226,10 +227,6 @@ class PartialMap:
         return f"PartialMap({self})"
 
 
-PmProfile = namedtuple("PmProfile", "dom im ker kerhat")
-PartitionProfile = namedtuple("PartitionProfile", "dom codom ker coker upper lower")
-
-
 class Partition:
     """A set partition of the 2n diagram points {1..n} ∪ {1'..n'}.
 
@@ -297,31 +294,19 @@ class Partition:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
         n = self.n
         parent = list(range(3 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for block in self.blocks:
-            first = block[0] - 1
-            for p in block[1:]:
-                union(first, p - 1)
-        for block in other.blocks:
-            first = block[0] - 1 + n
-            for p in block[1:]:
-                union(first, p - 1 + n)
+        # Point p of this diagram is node p-1; point p of the other is p-1+n.
+        for offset, blocks in ((-1, self.blocks), (n - 1, other.blocks)):
+            for block in blocks:
+                first = find(parent, block[0] + offset)
+                for p in block[1:]:
+                    root = find(parent, p + offset)
+                    if root != first:
+                        parent[root] = first
         groups = {}
         for x in range(1, n + 1):
-            groups.setdefault(find(x - 1), []).append(x)
+            groups.setdefault(find(parent, x - 1), []).append(x)
         for x in range(1, n + 1):
-            groups.setdefault(find(2 * n + x - 1), []).append(n + x)
+            groups.setdefault(find(parent, 2 * n + x - 1), []).append(n + x)
         return Partition._from_internal(n, groups.values())
 
     def star(self):
@@ -410,34 +395,6 @@ class Partition:
 
 def _point_text(p, n):
     return str(p) if p <= n else f"{p - n}'"
-
-
-# Operation-style wrappers around the methods above.
-
-def compose_pm(a: PartialMap, b: PartialMap) -> PartialMap:
-    return a * b
-
-
-def pm_profile(a: PartialMap) -> PmProfile:
-    return PmProfile(a.dom(), a.im(), a.ker(), a.kerhat())
-
-
-def partition_compose(a: Partition, b: Partition) -> Partition:
-    return a * b
-
-
-def partition_star(a: Partition) -> Partition:
-    return a.star()
-
-
-def partition_profile(a: Partition) -> PartitionProfile:
-    return PartitionProfile(
-        a.dom(), a.codom(), a.ker(), a.coker(), a.upper_blocks(), a.lower_blocks()
-    )
-
-
-def eqrel_join(r: EqRel, s: EqRel) -> EqRel:
-    return r.join(s)
 
 
 def is_kind(x, kind) -> bool:

@@ -48,8 +48,6 @@ SHIFT_UP = NF((), 1)
 SHIFT_DOWN = NF((), -1)
 PUNCTURE = NF((0,), 0)
 
-ATOMS = {"g": SHIFT_UP, "h": SHIFT_DOWN, "e": PUNCTURE}
-
 
 def nf_mul(a: NF, b: NF) -> NF:
     """Compose left to right: x is mapped iff x avoids a's punctures and
@@ -60,12 +58,15 @@ def nf_mul(a: NF, b: NF) -> NF:
 
 
 def nf_power(a: NF, k: int) -> NF:
+    """a^k in closed form: x is mapped iff x + j*shift avoids a's punctures
+    for every j < k, so the excluded set is the union of E - j*shift."""
     if k < 0:
         raise ValueError("negative power")
-    out = NF_IDENTITY
-    for _ in range(k):
-        out = nf_mul(out, a)
-    return out
+    if k == 0:
+        return NF_IDENTITY
+    steps = range(k) if a.shift else range(1)
+    excluded = {x - j * a.shift for x in a.excluded for j in steps}
+    return NF(tuple(sorted(excluded)), k * a.shift)
 
 
 def nf_inverse(a: NF) -> NF:
@@ -73,14 +74,24 @@ def nf_inverse(a: NF) -> NF:
 
 
 def nf_of_word(word: str) -> NF:
-    """Evaluate a word over {g, h, e}; the empty word is the identity."""
-    out = NF_IDENTITY
+    """Evaluate a word over {g, h, e}; the empty word is the identity.
+
+    Multiplying by g or h moves the running shift, and multiplying by e
+    punctures the point the running shift sends to 0, so one pass collects
+    the excluded set and it is sorted once: linear in the word's length.
+    """
+    shift = 0
+    excluded = set()
     for pos, ch in enumerate(word):
-        atom = ATOMS.get(ch)
-        if atom is None:
+        if ch == "g":
+            shift += 1
+        elif ch == "h":
+            shift -= 1
+        elif ch == "e":
+            excluded.add(-shift)
+        else:
             raise ValueError(f"bad symbol {ch!r} at position {pos} (expected g, h or e)")
-        out = nf_mul(out, atom)
-    return out
+    return NF(tuple(sorted(excluded)), shift)
 
 
 def nf_is_idempotent(a: NF) -> bool:
@@ -139,6 +150,8 @@ def presentation_relations(max_k: int):
 
 def check_presentation(max_k: int) -> bool:
     """Every defining relation holds as an exact normal-form equality."""
+    if max_k < 0:
+        raise ValueError(f"max_k must be non-negative, got {max_k}")
     return all(
         nf_of_word(lhs) == nf_of_word(rhs)
         for lhs, rhs in presentation_relations(max_k)
@@ -153,6 +166,8 @@ def check_nc(max_n: int) -> bool:
     two families and within each family, and e·up(n) sits below no up(k) with
     0 < k < n and below no dn(k) at all.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     e = PUNCTURE
     up = [None] + [nf_of_word("g" * k + "e" + "h" * k) for k in range(1, max_n + 1)]
     dn = [None] + [nf_of_word("h" * k + "e" + "g" * k) for k in range(1, max_n + 1)]
@@ -283,9 +298,10 @@ class ChainReport:
 
     reached=False is a certificate only for the stated bounds; it never
     proves unreachability outright.  `pruned` counts successor states that
-    were discarded for exceeding the bounds: when it is 0 and the target was
-    not reached, the frontier died out on its own, i.e. the whole reachable
-    state set was enumerated.
+    were discarded for exceeding the puncture or magnitude bounds.
+    `exhausted` is true only when the frontier emptied before the length cap
+    cut it off; with `pruned == 0` as well, the whole reachable state set was
+    enumerated.  `pruned == 0` alone says nothing about the length cap.
     """
 
     n: int
@@ -297,6 +313,7 @@ class ChainReport:
     max_excluded: int
     max_magnitude: int
     max_length: int
+    exhausted: bool
 
 
 def chain_search(
@@ -314,6 +331,8 @@ def chain_search(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if max_length < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
     if y_index is None:
         if n < 2:
             raise ValueError("default search needs n >= 2 (it uses Y_{n-1})")
@@ -348,7 +367,7 @@ def chain_search(
                     if successor == target:
                         return ChainReport(
                             n, y_index, True, explored, depth, pruned,
-                            max_excluded, max_magnitude, max_length,
+                            max_excluded, max_magnitude, max_length, False,
                         )
                     if successor in visited:
                         continue
@@ -363,5 +382,5 @@ def chain_search(
             break
     return ChainReport(
         n, y_index, False, explored, None, pruned,
-        max_excluded, max_magnitude, max_length,
+        max_excluded, max_magnitude, max_length, not frontier,
     )

@@ -1,18 +1,20 @@
 """Verification suites: every construction in the library checked against an
 independent brute-force oracle at finite scale.
 
-Each suite returns a SuiteResult and is deterministic; suites that sample
-randomly take an explicit seed.  The CLI `verify` subcommand and the
-acceptance test module both run these.
+Each suite is a body returning (ok, detail), registered in SUITES by the
+`suite` decorator, which times it and wraps the outcome in a SuiteResult.
+Suites are deterministic; those that sample randomly take an explicit seed.
+The CLI `verify` subcommand and the acceptance test module both run these.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .congruence import (
     FiniteMonoid,
@@ -62,12 +64,6 @@ def delta(S: FiniteMonoid) -> RightCongruence:
     return RightCongruence(S, EqRel.discrete(range(len(S))))
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    ok, detail = fn()
-    return ok, detail, time.perf_counter() - start
-
-
 def _random_nf(rng, max_excluded, max_coord) -> NF:
     k = rng.randint(0, max_excluded)
     excluded = tuple(sorted(rng.sample(range(-max_coord, max_coord + 1), k)))
@@ -76,162 +72,158 @@ def _random_nf(rng, max_excluded, max_coord) -> NF:
 
 # --- suite bodies ---------------------------------------------------------
 
-
-def suite_presentation(max_k: int = 50) -> SuiteResult:
-    ok, detail, secs = _timed(
-        lambda: (check_presentation(max_k), f"all defining relations hold for k <= {max_k}")
-    )
-    return SuiteResult("presentation", ok, detail, secs)
+SUITES = {}
 
 
-def suite_nc(max_n: int = 50) -> SuiteResult:
-    ok, detail, secs = _timed(
-        lambda: (check_nc(max_n), f"antichain conditions hold for indices <= {max_n}")
-    )
-    return SuiteResult("nc", ok, detail, secs)
+def suite(name):
+    """Register a suite body under `name`, in definition order.
+
+    The registered callable takes the body's arguments, times the body and
+    returns its (ok, detail) outcome as a SuiteResult.
+    """
+
+    def register(body):
+        @wraps(body)
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            ok, detail = body(*args, **kwargs)
+            return SuiteResult(name, ok, detail, time.perf_counter() - start)
+
+        SUITES[name] = timed
+        return timed
+
+    return register
 
 
-def suite_nf_mul(seed: int = 0, pair_count: int = 10_000) -> SuiteResult:
+@suite("presentation")
+def suite_presentation(max_k: int = 50):
+    return check_presentation(max_k), f"all defining relations hold for k <= {max_k}"
+
+
+@suite("nc")
+def suite_nc(max_n: int = 50):
+    return check_nc(max_n), f"antichain conditions hold for indices <= {max_n}"
+
+
+@suite("nf-mul")
+def suite_nf_mul(seed: int = 0, pair_count: int = 10_000):
     """Product rule vs windowed composition on the interior of [-100, 100]."""
-
-    def body():
-        rng = random.Random(seed)
-        half = 100
-        bad = 0
-        for _ in range(pair_count):
-            a = _random_nf(rng, 4, 20)
-            b = _random_nf(rng, 4, 20)
-            product = nf_mul(a, b)
-            composed = nf_window(a, half) * nf_window(b, half)
-            direct = nf_window(product, half)
-            margin = abs(a.shift) + abs(b.shift)
-            lo, hi = -half + margin, half - margin
-            for x in range(lo, hi + 1):
-                i = x + half  # 0-based index into the window maps
-                if composed.images[i] != direct.images[i]:
-                    bad += 1
-                    break
-        return bad == 0, f"{pair_count} random pairs agree on window interiors ({bad} mismatches)"
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("nf-mul", ok, detail, secs)
+    rng = random.Random(seed)
+    half = 100
+    bad = 0
+    for _ in range(pair_count):
+        a = _random_nf(rng, 4, 20)
+        b = _random_nf(rng, 4, 20)
+        product = nf_mul(a, b)
+        composed = nf_window(a, half) * nf_window(b, half)
+        direct = nf_window(product, half)
+        margin = abs(a.shift) + abs(b.shift)
+        lo, hi = -half + margin, half - margin
+        for x in range(lo, hi + 1):
+            i = x + half  # 0-based index into the window maps
+            if composed.images[i] != direct.images[i]:
+                bad += 1
+                break
+    return bad == 0, f"{pair_count} random pairs agree on window interiors ({bad} mismatches)"
 
 
 _MEET_CARRIERS = (("PT", 3), ("T", 3), ("I", 3), ("P", 2))
 
 
-def suite_meet_right() -> SuiteResult:
-    def body():
-        counts = []
-        for kind, n in _MEET_CARRIERS:
-            S = cached_monoid(kind, n)
-            bad = 0
-            for a, b in itertools.product(S.elements, repeat=2):
-                result = meet(kind, "R", a, b)
-                if not verify_meet(S, a, b, result, "R"):
-                    bad += 1
-            counts.append(f"{kind}_{n}:{len(S) ** 2}")
-            if bad:
-                return False, f"{bad} failures in {kind}_{n}"
+def _meets_exact(side):
+    """Every meet on the carriers against brute force; left meets must also
+    find some empty intersections among total maps."""
+    counts = []
+    empty_total_maps = 0
+    for kind, n in _MEET_CARRIERS:
+        S = cached_monoid(kind, n)
+        bad = 0
+        for a, b in itertools.product(S.elements, repeat=2):
+            result = meet(kind, side, a, b)
+            if kind == "T" and result.empty:
+                empty_total_maps += 1
+            if not verify_meet(S, a, b, result, side):
+                bad += 1
+        counts.append(f"{kind}_{n}:{len(S) ** 2}")
+        if bad:
+            return False, f"{bad} failures in {kind}_{n}"
+    if side == "R":
         return True, "right meets exact on " + ", ".join(counts) + " pairs"
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("meet-right", ok, detail, secs)
-
-
-def suite_meet_left() -> SuiteResult:
-    def body():
-        counts = []
-        empty_total_maps = 0
-        for kind, n in _MEET_CARRIERS:
-            S = cached_monoid(kind, n)
-            bad = 0
-            for a, b in itertools.product(S.elements, repeat=2):
-                result = meet(kind, "L", a, b)
-                if kind == "T" and result.empty:
-                    empty_total_maps += 1
-                if not verify_meet(S, a, b, result, "L"):
-                    bad += 1
-            counts.append(f"{kind}_{n}:{len(S) ** 2}")
-            if bad:
-                return False, f"{bad} failures in {kind}_{n}"
-        if empty_total_maps == 0:
-            return False, "expected some empty intersections among total maps"
-        return True, (
-            "left meets exact on " + ", ".join(counts)
-            + f" pairs; {empty_total_maps} empty T_3 intersections detected"
-        )
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("meet-left", ok, detail, secs)
+    if empty_total_maps == 0:
+        return False, "expected some empty intersections among total maps"
+    return True, (
+        "left meets exact on " + ", ".join(counts)
+        + f" pairs; {empty_total_maps} empty T_3 intersections detected"
+    )
 
 
-def suite_kappa() -> SuiteResult:
-    def body():
-        checked = 0
-        for kind, n in (("T", 3), ("PT", 2)):
-            S = cached_monoid(kind, n)
-            one = S.elements[0]
-            for s in S.elements:
-                if kappa(S, s).eqrel != rc_close(S, [(one, s)]).eqrel:
-                    return False, f"kappa mismatch at {s!r} in {kind}_{n}"
-                checked += 1
-        return True, f"power-orbit congruence equals closure of (1,s) for {checked} elements"
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("kappa", ok, detail, secs)
+@suite("meet-right")
+def suite_meet_right():
+    return _meets_exact("R")
 
 
-def suite_annihilators() -> SuiteResult:
-    def body():
-        idem_checked = 0
-        for kind, n in (("T", 3), ("PT", 2), ("P", 2)):
-            S = cached_monoid(kind, n)
-            one = S.elements[0]
-            d = delta(S)
-            for i in S.idempotent_idxs():
-                e = S.elements[i]
-                if annihilator(S, d, e).eqrel != rc_close(S, [(one, e)]).eqrel:
-                    return False, f"annihilator of idempotent {e!r} in {kind}_{n} differs"
-                idem_checked += 1
-        S = cached_monoid("PT", 3)
+@suite("meet-left")
+def suite_meet_left():
+    return _meets_exact("L")
+
+
+@suite("kappa")
+def suite_kappa():
+    checked = 0
+    for kind, n in (("T", 3), ("PT", 2)):
+        S = cached_monoid(kind, n)
+        one = S.elements[0]
+        for s in S.elements:
+            if kappa(S, s).eqrel != rc_close(S, [(one, s)]).eqrel:
+                return False, f"kappa mismatch at {s!r} in {kind}_{n}"
+            checked += 1
+    return True, f"power-orbit congruence equals closure of (1,s) for {checked} elements"
+
+
+@suite("annihilators")
+def suite_annihilators():
+    idem_checked = 0
+    for kind, n in (("T", 3), ("PT", 2), ("P", 2)):
+        S = cached_monoid(kind, n)
+        one = S.elements[0]
         d = delta(S)
-        reg_checked = 0
-        for a in S.elements:
-            inverses = generalized_inverses(S, a)
-            if not inverses:
-                return False, f"{a!r} unexpectedly not regular in PT_3"
-            e = S.mul(inverses[0], a)
-            if annihilator(S, d, a, check=False).eqrel != annihilator(S, d, e, check=False).eqrel:
-                return False, f"r(a) != r(ba) for {a!r}"
-            reg_checked += 1
-        return True, (
-            f"{idem_checked} idempotent annihilators match closures; "
-            f"{reg_checked} regular annihilators match their idempotent's"
-        )
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("annihilators", ok, detail, secs)
+        for i in S.idempotent_idxs():
+            e = S.elements[i]
+            if annihilator(S, d, e).eqrel != rc_close(S, [(one, e)]).eqrel:
+                return False, f"annihilator of idempotent {e!r} in {kind}_{n} differs"
+            idem_checked += 1
+    S = cached_monoid("PT", 3)
+    d = delta(S)
+    reg_checked = 0
+    for a in S.elements:
+        inverses = generalized_inverses(S, a)
+        if not inverses:
+            return False, f"{a!r} unexpectedly not regular in PT_3"
+        e = S.mul(inverses[0], a)
+        if annihilator(S, d, a, check=False).eqrel != annihilator(S, d, e, check=False).eqrel:
+            return False, f"r(a) != r(ba) for {a!r}"
+        reg_checked += 1
+    return True, (
+        f"{idem_checked} idempotent annihilators match closures; "
+        f"{reg_checked} regular annihilators match their idempotent's"
+    )
 
 
 _GREEN_CARRIERS = (("PT", 2), ("T", 3), ("I", 2), ("P", 2))
 
 
-def suite_green() -> SuiteResult:
-    def body():
-        total = 0
-        for kind, n in _GREEN_CARRIERS:
-            S = cached_monoid(kind, n)
-            for a, b in itertools.product(S.elements, repeat=2):
-                if leq_R(kind, a, b) != leq_oracle(S, a, b, "R").holds:
-                    return False, f"R disagreement at ({a!r}, {b!r}) in {kind}_{n}"
-                if leq_L(kind, a, b) != leq_oracle(S, a, b, "L").holds:
-                    return False, f"L disagreement at ({a!r}, {b!r}) in {kind}_{n}"
-                total += 1
-        return True, f"characterizations agree with multiplier search on {total} pairs, both sides"
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("green", ok, detail, secs)
+@suite("green")
+def suite_green():
+    total = 0
+    for kind, n in _GREEN_CARRIERS:
+        S = cached_monoid(kind, n)
+        for a, b in itertools.product(S.elements, repeat=2):
+            if leq_R(kind, a, b) != leq_oracle(S, a, b, "R").holds:
+                return False, f"R disagreement at ({a!r}, {b!r}) in {kind}_{n}"
+            if leq_L(kind, a, b) != leq_oracle(S, a, b, "L").holds:
+                return False, f"L disagreement at ({a!r}, {b!r}) in {kind}_{n}"
+            total += 1
+    return True, f"characterizations agree with multiplier search on {total} pairs, both sides"
 
 
 def _accepted_annihilator_pair(rng):
@@ -251,121 +243,95 @@ def _accepted_annihilator_pair(rng):
     return u, NF(tuple(sorted(ex_v)), target.shift)
 
 
-def suite_ann_decision(seed: int = 0, count: int = 1000) -> SuiteResult:
-    def body():
-        rng = random.Random(seed + 9)
-        for _ in range(count):
-            u, v = _accepted_annihilator_pair(rng)
-            verdict = in_annihilator(u, v)
-            if not verdict.member or verdict.n < 1:
-                return False, f"constructed pair rejected: ({u!r}, {v!r})"
-            witness = annihilator_witness(u, v)
-            if not witness.validate(nf_mul):
-                return False, f"witness fails for ({u!r}, {v!r})"
-            if len(witness) != 3 or not witness.uses_only(y_n(verdict.n)):
-                return False, f"witness not a 3-step chain over Y_{verdict.n}"
-        rejected = 0
-        while rejected < count:
-            u = _random_nf(rng, 3, 10)
-            v = _random_nf(rng, 3, 10)
-            if in_annihilator(u, v).member:
-                continue
-            rejected += 1
-            eu, ev = nf_mul(PUNCTURE, u), nf_mul(PUNCTURE, v)
-            diff = ev.shift - eu.shift
-            candidate = nf_power(SHIFT_UP if diff >= 0 else SHIFT_DOWN, abs(diff))
-            if nf_mul(candidate, eu) == ev:
-                return False, f"rejected pair actually satisfies its candidate: ({u!r}, {v!r})"
-            for k in range(16):
-                if nf_mul(nf_power(SHIFT_UP, k), eu) == ev:
-                    return False, f"rejected pair reachable with g^{k}: ({u!r}, {v!r})"
-                if nf_mul(nf_power(SHIFT_DOWN, k), eu) == ev:
-                    return False, f"rejected pair reachable with h^{k}: ({u!r}, {v!r})"
-        return True, f"{count} accepted pairs carry validating 3-step witnesses; {count} rejections confirmed"
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("ann-decision", ok, detail, secs)
+@suite("ann-decision")
+def suite_ann_decision(seed: int = 0, count: int = 1000):
+    rng = random.Random(seed + 9)
+    for _ in range(count):
+        u, v = _accepted_annihilator_pair(rng)
+        verdict = in_annihilator(u, v)
+        if not verdict.member or verdict.n < 1:
+            return False, f"constructed pair rejected: ({u!r}, {v!r})"
+        witness = annihilator_witness(u, v)
+        if not witness.validate(nf_mul):
+            return False, f"witness fails for ({u!r}, {v!r})"
+        if len(witness) != 3 or not witness.uses_only(y_n(verdict.n)):
+            return False, f"witness not a 3-step chain over Y_{verdict.n}"
+    rejected = 0
+    while rejected < count:
+        u = _random_nf(rng, 3, 10)
+        v = _random_nf(rng, 3, 10)
+        if in_annihilator(u, v).member:
+            continue
+        rejected += 1
+        eu, ev = nf_mul(PUNCTURE, u), nf_mul(PUNCTURE, v)
+        diff = ev.shift - eu.shift
+        candidate = nf_power(SHIFT_UP if diff >= 0 else SHIFT_DOWN, abs(diff))
+        if nf_mul(candidate, eu) == ev:
+            return False, f"rejected pair actually satisfies its candidate: ({u!r}, {v!r})"
+        for k in range(16):
+            if nf_mul(nf_power(SHIFT_UP, k), eu) == ev:
+                return False, f"rejected pair reachable with g^{k}: ({u!r}, {v!r})"
+            if nf_mul(nf_power(SHIFT_DOWN, k), eu) == ev:
+                return False, f"rejected pair reachable with h^{k}: ({u!r}, {v!r})"
+    return True, f"{count} accepted pairs carry validating 3-step witnesses; {count} rejections confirmed"
 
 
-def suite_chain() -> SuiteResult:
-    def body():
-        details = []
-        for n in range(2, 6):
-            report = chain_search(n)
-            if report.reached:
-                return False, f"target for n={n} reached under Y_{n - 1} within bounds"
-            direct = chain_search(n, y_index=n)
-            if not direct.reached or direct.depth != 1:
-                return False, f"target for n={n} not reached in one step under Y_{n}"
-            details.append(f"n={n}: blocked ({report.explored} states)")
-        return True, "; ".join(details)
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("chain", ok, detail, secs)
+@suite("chain")
+def suite_chain():
+    details = []
+    for n in range(2, 6):
+        report = chain_search(n)
+        if report.reached:
+            return False, f"target for n={n} reached under Y_{n - 1} within bounds"
+        direct = chain_search(n, y_index=n)
+        if not direct.reached or direct.depth != 1:
+            return False, f"target for n={n} not reached in one step under Y_{n}"
+        details.append(f"n={n}: blocked ({report.explored} states)")
+    return True, "; ".join(details)
 
 
-def suite_embeddings() -> SuiteResult:
-    def body():
-        pt2 = enumerate_elements("PT", 2)
-        for a, b in itertools.product(pt2, repeat=2):
-            if embed("PT->T", a * b) != embed("PT->T", a) * embed("PT->T", b):
-                return False, f"PT->T breaks at ({a!r}, {b!r})"
-        i2 = enumerate_elements("I", 2)
-        for a, b in itertools.product(i2, repeat=2):
-            if embed("I->P", a * b) != embed("I->P", a) * embed("I->P", b):
-                return False, f"I->P breaks at ({a!r}, {b!r})"
-        return True, f"multiplicative on {len(pt2) ** 2} PT_2 pairs and {len(i2) ** 2} I_2 pairs"
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("embeddings", ok, detail, secs)
+@suite("embeddings")
+def suite_embeddings():
+    pt2 = enumerate_elements("PT", 2)
+    for a, b in itertools.product(pt2, repeat=2):
+        if embed("PT->T", a * b) != embed("PT->T", a) * embed("PT->T", b):
+            return False, f"PT->T breaks at ({a!r}, {b!r})"
+    i2 = enumerate_elements("I", 2)
+    for a, b in itertools.product(i2, repeat=2):
+        if embed("I->P", a * b) != embed("I->P", a) * embed("I->P", b):
+            return False, f"I->P breaks at ({a!r}, {b!r})"
+    return True, f"multiplicative on {len(pt2) ** 2} PT_2 pairs and {len(i2) ** 2} I_2 pairs"
 
 
-def suite_star(seed: int = 0, sample: int = 1000) -> SuiteResult:
-    def body():
-        p2 = enumerate_elements("P", 2)
-        for a in p2:
-            if a.star().star() != a or a * a.star() * a != a:
-                return False, f"involution/sandwich law fails at {a!r}"
-        for a, b in itertools.product(p2, repeat=2):
-            if (a * b).star() != b.star() * a.star():
-                return False, f"anti-morphism fails at ({a!r}, {b!r})"
-        rng = random.Random(seed + 12)
-        p3 = enumerate_elements("P", 3)
-        for _ in range(sample):
-            a, b = rng.choice(p3), rng.choice(p3)
-            if (a * b).star() != b.star() * a.star() or a.star().star() != a:
-                return False, f"star law fails at ({a!r}, {b!r})"
-            if a * a.star() * a != a:
-                return False, f"sandwich law fails at {a!r}"
-        return True, f"star laws hold on all {len(p2) ** 2} P_2 pairs and {sample} random P_3 pairs"
-
-    ok, detail, secs = _timed(body)
-    return SuiteResult("star", ok, detail, secs)
+@suite("star")
+def suite_star(seed: int = 0, sample: int = 1000):
+    p2 = enumerate_elements("P", 2)
+    for a in p2:
+        if a.star().star() != a or a * a.star() * a != a:
+            return False, f"involution/sandwich law fails at {a!r}"
+    for a, b in itertools.product(p2, repeat=2):
+        if (a * b).star() != b.star() * a.star():
+            return False, f"anti-morphism fails at ({a!r}, {b!r})"
+    rng = random.Random(seed + 12)
+    p3 = enumerate_elements("P", 3)
+    for _ in range(sample):
+        a, b = rng.choice(p3), rng.choice(p3)
+        if (a * b).star() != b.star() * a.star() or a.star().star() != a:
+            return False, f"star law fails at ({a!r}, {b!r})"
+        if a * a.star() * a != a:
+            return False, f"sandwich law fails at {a!r}"
+    return True, f"star laws hold on all {len(p2) ** 2} P_2 pairs and {sample} random P_3 pairs"
 
 
-SUITES = {
-    "presentation": suite_presentation,
-    "nc": suite_nc,
-    "nf-mul": suite_nf_mul,
-    "meet-right": suite_meet_right,
-    "meet-left": suite_meet_left,
-    "kappa": suite_kappa,
-    "annihilators": suite_annihilators,
-    "green": suite_green,
-    "ann-decision": suite_ann_decision,
-    "chain": suite_chain,
-    "embeddings": suite_embeddings,
-    "star": suite_star,
-}
-
-_SEEDED = {"nf-mul", "ann-decision", "star"}
-
-
-def run_suite(name: str, seed: int = 0) -> SuiteResult:
+def run_suite(name: str, seed: int = 0, max_k: int = 50, max_n: int = 50) -> SuiteResult:
+    """Run one registered suite, passing it whichever of the seed and the
+    presentation and nc bounds it takes."""
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")
-    return fn(seed=seed) if name in _SEEDED else fn()
+    accepted = inspect.signature(fn).parameters
+    options = {"seed": seed, "max_k": max_k, "max_n": max_n}
+    return fn(**{key: value for key, value in options.items() if key in accepted})
 
 
 def run_suites(names, seed: int = 0):

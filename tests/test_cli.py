@@ -113,6 +113,41 @@ def test_pmonoid_ann_nf_literals(capsys):
     assert out.splitlines()[0] == "yes n=0"
 
 
+def test_pmonoid_ann_twelve_digit_shift(capsys):
+    code, out, _ = run(
+        capsys, "pmonoid", "ann", "--nf", "{1000000000000};+0", "{-1000000000000};+1000000000000",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "yes n=1000000000000 side=g"
+    assert lines[1] == "witness\t3 steps"
+    assert len(lines) == 5
+
+
+def test_pmonoid_relations_negative_bound(capsys):
+    code, out, err = run(capsys, "pmonoid", "relations", "--max-k", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_pmonoid_nc_negative_bound(capsys):
+    code, out, err = run(capsys, "pmonoid", "nc", "--max-n", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_pmonoid_chain_negative_length(capsys):
+    code, out, err = run(capsys, "pmonoid", "chain", "--n", "3", "--max-length", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_presentation_negative_bound(capsys):
+    code, out, err = run(capsys, "verify", "presentation", "--max-k", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_pmonoid_chain_report(capsys):
     code, out, _ = run(
         capsys, "pmonoid", "chain", "--n", "2", "--max-excluded", "3", "--max-magnitude", "6",

@@ -6,15 +6,14 @@ import pytest
 from monoidkit.congruence import (
     FiniteMonoid,
     annihilator,
-    close_monoid,
     is_right_congruence,
     kappa,
     rc_close,
     subact_generators,
     y_sequence,
 )
-from monoidkit.elements import PartialMap
-from monoidkit.verify import delta
+from monoidkit.elements import EqRel, PartialMap
+from monoidkit.verify import cached_monoid, delta
 
 
 def pm(*images):
@@ -28,28 +27,6 @@ CONST2 = pm(2, 2)
 
 
 # --- monoid construction -----------------------------------------------------
-
-
-def test_close_monoid_t2():
-    S = close_monoid("T", 2, [SWAP, CONST1])
-    assert len(S) == 4
-    assert S.elements[0] == ID2
-    assert S.generated_by_gens()
-
-
-def test_close_monoid_trivial():
-    S = close_monoid("T", 2, [])
-    assert len(S) == 1
-
-
-def test_close_monoid_pt2():
-    S = close_monoid("PT", 2, [SWAP, CONST1, pm(1, None)])
-    assert len(S) == 9
-
-
-def test_close_monoid_rejects_wrong_size():
-    with pytest.raises(ValueError):
-        close_monoid("T", 2, [PartialMap.identity(3)])
 
 
 def test_finite_monoid_rejects_non_closed_list():
@@ -66,11 +43,6 @@ def test_finite_monoid_rejects_non_identity_head():
 def test_finite_monoid_rejects_duplicates():
     with pytest.raises(ValueError):
         FiniteMonoid([ID2, SWAP, SWAP])
-
-
-def test_close_monoid_cap():
-    with pytest.raises(ValueError):
-        close_monoid("T", 2, [SWAP, CONST1], cap=2)
 
 
 def test_foreign_elements_rejected(T2):
@@ -211,6 +183,26 @@ def test_kappa_constant(T2):
         frozenset({ID2, CONST1}),
         frozenset({SWAP, CONST2}),
     }
+
+
+def _kappa_by_orbit_pairs(S, s):
+    """kappa from its definition: join every pair whose power orbits meet."""
+    powers, cur = [], 0
+    while cur not in powers:
+        powers.append(cur)
+        cur = S.mul_idx(cur, S.index_of(s))
+    orbits = [{S.mul_idx(p, u) for p in powers} for u in range(len(S))]
+    pairs = [
+        (u, v) for u in range(len(S)) for v in range(u + 1, len(S)) if orbits[u] & orbits[v]
+    ]
+    return EqRel.from_pairs(range(len(S)), pairs)
+
+
+@pytest.mark.parametrize("kind,n", [("T", 3), ("PT", 3), ("I", 3), ("P", 2)])
+def test_kappa_matches_orbit_pair_definition(kind, n):
+    S = cached_monoid(kind, n)
+    for s in S.elements:
+        assert kappa(S, s).eqrel == _kappa_by_orbit_pairs(S, s), s
 
 
 def test_kappa_equals_closure_pt2(PT2):

@@ -10,8 +10,6 @@ from monoidkit.elements import (
     element_count,
     embed,
     enumerate_elements,
-    eqrel_join,
-    pm_profile,
 )
 
 
@@ -48,7 +46,8 @@ def test_compose_size_mismatch():
 
 
 def test_profile_fibers():
-    dom, im, ker, kerhat = pm_profile(pm(1, 1, None))
+    a = pm(1, 1, None)
+    dom, im, ker, kerhat = a.dom(), a.im(), a.ker(), a.kerhat()
     assert dom == {1, 2}
     assert im == {1}
     assert ker == EqRel([(1, 2)])
@@ -56,13 +55,15 @@ def test_profile_fibers():
 
 
 def test_profile_identity():
-    dom, im, ker, kerhat = pm_profile(PartialMap.identity(3))
+    a = PartialMap.identity(3)
+    dom, im, ker, kerhat = a.dom(), a.im(), a.ker(), a.kerhat()
     assert dom == im == {1, 2, 3}
     assert ker == kerhat == EqRel.discrete([1, 2, 3])
 
 
 def test_profile_nowhere_defined():
-    dom, im, ker, kerhat = pm_profile(PartialMap.empty(3))
+    a = PartialMap.empty(3)
+    dom, im, ker, kerhat = a.dom(), a.im(), a.ker(), a.kerhat()
     assert dom == frozenset()
     assert ker == EqRel([])
     assert kerhat == EqRel([(1, 2, 3)])
@@ -180,7 +181,7 @@ def test_join_of_kernels_on_different_carriers():
     r = pm(1, 1, None).ker()
     s = pm(None, 2, 2).ker()
     assert r.carrier == {1, 2} and s.carrier == {2, 3}
-    assert eqrel_join(r, s) == EqRel([(1, 2, 3)])
+    assert r.join(s) == EqRel([(1, 2, 3)])
 
 
 def _random_eqrel(rng, ground):

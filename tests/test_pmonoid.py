@@ -8,6 +8,7 @@ from monoidkit.pmonoid import (
     NF,
     NF_IDENTITY,
     PUNCTURE,
+    SHIFT_DOWN,
     SHIFT_UP,
     annihilator_witness,
     chain_search,
@@ -20,6 +21,7 @@ from monoidkit.pmonoid import (
     nf_mul,
     nf_natural_leq,
     nf_of_word,
+    nf_power,
     nf_window,
     presentation_relations,
     y_n,
@@ -43,6 +45,17 @@ def test_word_atoms():
     assert nf_of_word("gh") == NF_IDENTITY
     assert nf_of_word("gege") == NF((-2, -1), 2)
     assert nf_of_word("") == NF_IDENTITY
+
+
+def test_word_matches_product_of_letters():
+    rng = random.Random(5)
+    letters = {"g": SHIFT_UP, "h": SHIFT_DOWN, "e": PUNCTURE}
+    for length in list(range(8)) * 20 + [200, 1000]:
+        word = "".join(rng.choice("ghe") for _ in range(length))
+        expected = NF_IDENTITY
+        for ch in word:
+            expected = nf_mul(expected, letters[ch])
+        assert nf_of_word(word) == expected, word
 
 
 def test_word_rejects_bad_symbol():
@@ -163,12 +176,45 @@ def test_double_puncture_below_single():
     assert nf_natural_leq(low, high)
 
 
+
+def _power_by_repeated_product(a, k):
+    out = NF_IDENTITY
+    for _ in range(k):
+        out = nf_mul(out, a)
+    return out
+
+
+def test_power_closed_form_matches_repeated_product():
+    rng = random.Random(17)
+    bases = [NF_IDENTITY, SHIFT_UP, SHIFT_DOWN, PUNCTURE, NF((-2, 3), 0)]
+    bases += [random_nf(rng) for _ in range(40)]
+    for a in bases:
+        for k in range(13):
+            assert nf_power(a, k) == _power_by_repeated_product(a, k), (a, k)
+    with pytest.raises(ValueError):
+        nf_power(SHIFT_UP, -1)
+
+
+def test_power_cost_does_not_grow_with_exponent():
+    k = 10 ** 12
+    assert nf_power(SHIFT_UP, k) == NF((), k)
+    assert nf_power(PUNCTURE, k) == PUNCTURE
+    assert nf_power(NF((0,), -1), 3) == NF((0, 1, 2), -3)
+
 # --- presentation and antichain checkers ---------------------------------------
 
 
 def test_presentation_holds():
     assert check_presentation(1)
     assert check_presentation(50)
+
+
+def test_checkers_refuse_negative_bounds():
+    with pytest.raises(ValueError):
+        check_presentation(-5)
+    with pytest.raises(ValueError):
+        check_nc(-5)
+    assert check_presentation(0) and check_nc(0)
 
 
 def test_presentation_relations_shape():
@@ -310,6 +356,15 @@ def test_chain_search_saturates_without_pruning():
         assert not report.reached
         assert report.pruned == 0
         assert report.explored == 2
+        assert report.exhausted
+
+
+def test_chain_length_cap_is_not_exhaustion():
+    # The cap stops the search before the start state is expanded, so no
+    # state is pruned, yet the reachable set (2 states) is not enumerated.
+    report = chain_search(3, max_length=0)
+    assert report.pruned == 0 and report.explored == 1
+    assert report.exhausted is False
 
 
 def test_chain_argument_validation():
@@ -318,3 +373,5 @@ def test_chain_argument_validation():
     with pytest.raises(ValueError):
         chain_search(1)  # no default generating set below the target level
     assert chain_search(1, y_index=1).reached
+    with pytest.raises(ValueError):
+        chain_search(3, max_length=-1)
