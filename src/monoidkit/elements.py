@@ -147,6 +147,19 @@ class PartialMap:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _from_internal(cls, images):
+        """Wrap an images tuple without checking it.
+
+        The caller guarantees that `images` is a tuple whose entries are each
+        None or an int in 1..len(images); outside input goes through the
+        validating constructor instead.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(images))
+        object.__setattr__(self, "images", images)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("PartialMap is immutable")
 
@@ -169,8 +182,11 @@ class PartialMap:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return PartialMap(
-            [None if v is None else other.images[v - 1] for v in self.images]
+        # Every image is None or taken from other.images, which has the same
+        # size, so the product needs no re-validation.
+        theirs = other.images
+        return PartialMap._from_internal(
+            tuple([None if v is None else theirs[v - 1] for v in self.images])
         )
 
     def dom(self):

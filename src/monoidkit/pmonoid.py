@@ -34,6 +34,20 @@ class NF:
         if any(ex[i] >= ex[i + 1] for i in range(len(ex) - 1)):
             raise ValueError(f"excluded set {ex} must be strictly increasing")
 
+    @classmethod
+    def _from_internal(cls, excluded, shift):
+        """Build a normal form without the ordering check.
+
+        The caller guarantees that `excluded` is a tuple of strictly
+        increasing ints, as `tuple(sorted(some_set))` is, or a strictly
+        increasing tuple shifted by a constant; outside input goes through
+        `NF(...)` instead.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "shift", shift)
+        return self
+
     def __mul__(self, other):
         if not isinstance(other, NF):
             return NotImplemented
@@ -54,7 +68,7 @@ def nf_mul(a: NF, b: NF) -> NF:
     x + a.shift avoids b's punctures."""
     excluded = set(a.excluded)
     excluded.update(x - a.shift for x in b.excluded)
-    return NF(tuple(sorted(excluded)), a.shift + b.shift)
+    return NF._from_internal(tuple(sorted(excluded)), a.shift + b.shift)
 
 
 def nf_power(a: NF, k: int) -> NF:
@@ -66,11 +80,11 @@ def nf_power(a: NF, k: int) -> NF:
         return NF_IDENTITY
     steps = range(k) if a.shift else range(1)
     excluded = {x - j * a.shift for x in a.excluded for j in steps}
-    return NF(tuple(sorted(excluded)), k * a.shift)
+    return NF._from_internal(tuple(sorted(excluded)), k * a.shift)
 
 
 def nf_inverse(a: NF) -> NF:
-    return NF(tuple(x + a.shift for x in a.excluded), -a.shift)
+    return NF._from_internal(tuple(x + a.shift for x in a.excluded), -a.shift)
 
 
 def nf_of_word(word: str) -> NF:
@@ -91,7 +105,7 @@ def nf_of_word(word: str) -> NF:
             excluded.add(-shift)
         else:
             raise ValueError(f"bad symbol {ch!r} at position {pos} (expected g, h or e)")
-    return NF(tuple(sorted(excluded)), shift)
+    return NF._from_internal(tuple(sorted(excluded)), shift)
 
 
 def nf_is_idempotent(a: NF) -> bool:
@@ -112,20 +126,23 @@ def nf_window(a: NF, half_width: int) -> PartialMap:
 
     Returned as a partial bijection on 1..2N+1 via x -> x + N + 1.  The window
     must be wide enough to contain every puncture and survive the shift.
+    Window index i maps to i + shift + 1 while that lies in 1..2N+1, so the
+    images are one run of consecutive points with Nones past the edge it
+    shifts towards; then each puncture x is cleared at index x + N.
     """
     needed = (max(abs(x) for x in a.excluded) if a.excluded else 0) + abs(a.shift)
     if half_width < needed:
         raise ValueError(f"window half-width {half_width} < required {needed}")
     n = half_width
-    excluded = set(a.excluded)
-    images = []
-    for x in range(-n, n + 1):
-        y = x + a.shift
-        if x in excluded or not -n <= y <= n:
-            images.append(None)
-        else:
-            images.append(y + n + 1)
-    return PartialMap(images)
+    size = 2 * n + 1
+    s = a.shift
+    if s >= 0:
+        images = list(range(s + 1, size + 1)) + [None] * s
+    else:
+        images = [None] * -s + list(range(1, size + 1 + s))
+    for x in a.excluded:
+        images[x + n] = None
+    return PartialMap._from_internal(tuple(images))
 
 
 PRESENTATION_BASE = (
@@ -256,16 +273,24 @@ def annihilator_witness(u: NF, v: NF) -> YSequence:
     return seq
 
 
+def _y_level(k: int):
+    """The two generating pairs of exponent k: (g^k e, h^k e g^k) and
+    (h^k e, g^k e h^k).  Each element has the single puncture k or -k."""
+    gk = nf_power(SHIFT_UP, k)
+    hk = nf_power(SHIFT_DOWN, k)
+    return (
+        (nf_mul(gk, PUNCTURE), nf_mul(nf_mul(hk, PUNCTURE), gk)),
+        (nf_mul(hk, PUNCTURE), nf_mul(nf_mul(gk, PUNCTURE), hk)),
+    )
+
+
 def y_n(n: int):
     """The 2n+1 generating pairs (1,e), (g^k e, h^k e g^k), (h^k e, g^k e h^k)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     pairs = [(NF_IDENTITY, PUNCTURE)]
     for k in range(1, n + 1):
-        gk = nf_power(SHIFT_UP, k)
-        hk = nf_power(SHIFT_DOWN, k)
-        pairs.append((nf_mul(gk, PUNCTURE), nf_mul(nf_mul(hk, PUNCTURE), gk)))
-        pairs.append((nf_mul(hk, PUNCTURE), nf_mul(nf_mul(gk, PUNCTURE), hk)))
+        pairs.extend(_y_level(k))
     return pairs
 
 
@@ -286,7 +311,7 @@ def divide_left(c: NF, u: NF):
     for r in range(len(c.excluded) + 1):
         for extra in itertools.combinations(c.excluded, r):
             ex_t = tuple(sorted(x + c.shift for x in base | set(extra)))
-            t = NF(ex_t, shift_t)
+            t = NF._from_internal(ex_t, shift_t)
             assert nf_mul(c, t) == u
             out.append(t)
     return out
@@ -328,6 +353,11 @@ def chain_search(
     A step from state w picks a directed pair (c, d) and any t with c*t == w,
     moving to d*t.  States whose puncture count or coordinate magnitudes
     exceed the bounds are pruned, as are sequences longer than max_length.
+
+    Some t exists only when c's punctures are among w's, so from w only
+    (1, e), (e, 1) when 0 is a puncture, and the pairs of levels k = |x| for
+    punctures x of w are tried, in the order of y_n.  Levels are built on
+    first use, so the cost does not grow with the value of y_index.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -337,16 +367,31 @@ def chain_search(
         if n < 2:
             raise ValueError("default search needs n >= 2 (it uses Y_{n-1})")
         y_index = n - 1
+    if y_index < 1:
+        raise ValueError(f"y_index must be at least 1, got {y_index}")
     if max_excluded is None:
         max_excluded = n + 2
+    if max_excluded < 0:
+        raise ValueError(f"max_excluded must be non-negative, got {max_excluded}")
     if max_magnitude is None:
         max_magnitude = 3 * n
+    if max_magnitude < 0:
+        raise ValueError(f"max_magnitude must be non-negative, got {max_magnitude}")
     start = nf_of_word("g" * n + "e")
     target = nf_of_word("h" * n + "e" + "g" * n)
-    directed = []
-    for c, d in y_n(y_index):
-        directed.append((c, d))
-        directed.append((d, c))
+    levels = {}
+
+    def directed(w):
+        """The directed pairs (c, d) of Y_{y_index} whose c divides w."""
+        punctures = set(w.excluded)
+        pairs = [(NF_IDENTITY, PUNCTURE)]
+        if 0 in punctures:
+            pairs.append((PUNCTURE, NF_IDENTITY))
+        for k in sorted({abs(x) for x in punctures if 0 < abs(x) <= y_index}):
+            if k not in levels:
+                levels[k] = [p for c, d in _y_level(k) for p in ((c, d), (d, c))]
+            pairs.extend((c, d) for c, d in levels[k] if c.excluded[0] in punctures)
+        return pairs
 
     def within_bounds(w):
         if len(w.excluded) > max_excluded:
@@ -361,7 +406,7 @@ def chain_search(
     for depth in range(1, max_length + 1):
         nxt = []
         for w in frontier:
-            for c, d in directed:
+            for c, d in directed(w):
                 for t in divide_left(c, w):
                     successor = nf_mul(d, t)
                     if successor == target:

@@ -142,6 +142,33 @@ def test_pmonoid_chain_negative_length(capsys):
     assert err.startswith("error:")
 
 
+def test_pmonoid_chain_twelve_digit_y_index(capsys):
+    code, out, _ = run(capsys, "pmonoid", "chain", "--n", "2", "--y-index", "1000000000000")
+    assert code == 0
+    assert out.splitlines() == [
+        "n=2 y=1000000000000 reached=true explored=2 pruned=0 bounds=|E|<=4,mag<=6,len<=8",
+        "depth\t1",
+    ]
+
+
+def test_pmonoid_chain_zero_y_index(capsys):
+    code, out, err = run(capsys, "pmonoid", "chain", "--n", "2", "--y-index", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "y_index" in err
+
+
+def test_pmonoid_chain_negative_magnitude(capsys):
+    code, out, err = run(capsys, "pmonoid", "chain", "--n", "2", "--max-magnitude", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "max_magnitude" in err
+
+
+def test_pmonoid_chain_negative_excluded(capsys):
+    code, out, err = run(capsys, "pmonoid", "chain", "--n", "2", "--max-excluded", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "max_excluded" in err
+
+
 def test_verify_presentation_negative_bound(capsys):
     code, out, err = run(capsys, "verify", "presentation", "--max-k", "-5")
     assert code == 2 and out == ""

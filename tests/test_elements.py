@@ -82,6 +82,21 @@ def test_bad_image_rejected():
         PartialMap([1, 4, 2])
 
 
+def test_products_pass_validating_constructor():
+    # Products skip the image checks; the public constructor still makes them.
+    rng = random.Random(3)
+    for n in (1, 2, 5, 9):
+        choices = [None] + list(range(1, n + 1))
+        for _ in range(200):
+            a = PartialMap(rng.choice(choices) for _ in range(n))
+            b = PartialMap(rng.choice(choices) for _ in range(n))
+            p = a * b
+            assert PartialMap(p.images) == p and p.n == n
+    for bad in ([5], ["x"], [0, 1], [1.0]):
+        with pytest.raises(ValueError):
+            PartialMap(bad)
+
+
 # --- partitions ------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from monoidkit.congruence import YSequence
+from monoidkit.elements import PartialMap
 from monoidkit.pmonoid import (
     NF,
     NF_IDENTITY,
@@ -119,6 +121,54 @@ def test_window_too_small():
         nf_window(NF((5,), 0), 4)
     with pytest.raises(ValueError):
         nf_window(NF((), 3), 2)
+
+
+def _window_pointwise(a, half_width):
+    """The per-point window construction that the closed form replaced."""
+    needed = (max(abs(x) for x in a.excluded) if a.excluded else 0) + abs(a.shift)
+    if half_width < needed:
+        raise ValueError(f"window half-width {half_width} < required {needed}")
+    n = half_width
+    images = []
+    for x in range(-n, n + 1):
+        y = x + a.shift
+        if x in a.excluded or not -n <= y <= n:
+            images.append(None)
+        else:
+            images.append(y + n + 1)
+    return PartialMap(images)
+
+
+def test_window_closed_form_matches_pointwise():
+    rng = random.Random(20)
+    cases = [NF_IDENTITY, SHIFT_UP, SHIFT_DOWN, PUNCTURE, NF((-3, 3), 0), NF((-2, 2), -1)]
+    cases += [random_nf(rng, max_excluded=4, max_coord=8) for _ in range(300)]
+    shifts = set()
+    for a in cases:
+        needed = (max(abs(x) for x in a.excluded) if a.excluded else 0) + abs(a.shift)
+        shifts.add((a.shift > 0) - (a.shift < 0))
+        # half_width == needed puts the outermost puncture or the shifted
+        # image at the window's edge.
+        for half in (needed, needed + 1, needed + 7):
+            assert nf_window(a, half) == _window_pointwise(a, half), (a, half)
+    assert shifts == {-1, 0, 1}
+
+
+def test_trusted_results_revalidate():
+    # Products built without checks must pass the public constructors.
+    rng = random.Random(22)
+    for _ in range(300):
+        a, b = random_nf(rng), random_nf(rng)
+        k = rng.randint(0, 6)
+        results = [nf_mul(a, b), nf_power(a, k), nf_inverse(a)]
+        results += divide_left(a, nf_mul(a, b))
+        word = "".join(rng.choice("ghe") for _ in range(rng.randint(0, 30)))
+        results.append(nf_of_word(word))
+        for r in results:
+            assert NF(r.excluded, r.shift) == r, r
+        p = nf_window(a, 40) * nf_window(b, 40)
+        for w in (p, nf_window(a, 40)):
+            assert PartialMap(w.images) == w
 
 
 def _apply_word(word, x):
@@ -365,6 +415,72 @@ def test_chain_length_cap_is_not_exhaustion():
     report = chain_search(3, max_length=0)
     assert report.pruned == 0 and report.explored == 1
     assert report.exhausted is False
+
+
+def _chain_search_over_all_pairs(n, y_index, max_excluded, max_magnitude, max_length):
+    """The search that tries every directed pair of y_n(y_index) from every
+    state, as chain_search did before it skipped the pairs that cannot apply."""
+    start = nf_of_word("g" * n + "e")
+    target = nf_of_word("h" * n + "e" + "g" * n)
+    directed = []
+    for c, d in y_n(y_index):
+        directed += [(c, d), (d, c)]
+    visited, frontier = {start}, [start]
+    explored, pruned = 1, 0
+    for depth in range(1, max_length + 1):
+        nxt = []
+        for w in frontier:
+            for c, d in directed:
+                for t in divide_left(c, w):
+                    successor = nf_mul(d, t)
+                    if successor == target:
+                        return True, explored, depth, pruned, False
+                    if successor in visited:
+                        continue
+                    coords = successor.excluded + (successor.shift,)
+                    if len(successor.excluded) > max_excluded or any(
+                        abs(x) > max_magnitude for x in coords
+                    ):
+                        pruned += 1
+                        continue
+                    visited.add(successor)
+                    nxt.append(successor)
+                    explored += 1
+        frontier = nxt
+        if not frontier:
+            break
+    return False, explored, None, pruned, not frontier
+
+
+def test_chain_search_matches_all_pairs_oracle():
+    grid = itertools.product(range(1, 4), range(1, 5), (0, 2, 5), (0, 4, 9, 15), (0, 2, 5))
+    for n, y_index, max_excluded, max_magnitude, max_length in grid:
+        bounds = (n, y_index, max_excluded, max_magnitude, max_length)
+        r = chain_search(*bounds)
+        assert (r.reached, r.explored, r.depth, r.pruned, r.exhausted) == (
+            _chain_search_over_all_pairs(*bounds)
+        ), bounds
+
+
+def test_chain_cost_does_not_grow_with_y_index():
+    # Levels above the largest reachable puncture never apply, so a
+    # 12-digit index gives the report of the smallest sufficient one.
+    for n in (2, 3, 4):
+        report = chain_search(n, y_index=10 ** 12)
+        assert report.reached and report.depth == 1
+        assert replace(report, y_index=n) == chain_search(n, y_index=n)
+
+
+def test_chain_refuses_vacuous_bounds():
+    for kwargs, name in (
+        ({"max_excluded": -1}, "max_excluded"),
+        ({"max_magnitude": -1}, "max_magnitude"),
+        ({"y_index": 0}, "y_index"),
+        ({"y_index": -3}, "y_index"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            chain_search(2, **kwargs)
+    assert chain_search(2, max_excluded=0, max_magnitude=0).pruned > 0
 
 
 def test_chain_argument_validation():
