@@ -41,13 +41,12 @@ from .pmonoid import (
     in_annihilator,
     nf_inverse,
     nf_mul,
-    nf_natural_leq,
     nf_of_word,
     nf_power,
     nf_window,
     y_n,
 )
 from .textio import ParseError, format_element, format_nf, parse_element, render_partition
-from .verify import SUITES, SuiteResult, cached_monoid, delta, run_suite, run_suites
+from .verify import SUITES, SuiteResult, cached_monoid, delta, run_suite
 
 __version__ = "0.1.0"

@@ -1,15 +1,18 @@
 """Finite monoids, right congruence closure with reconstructible witnesses,
 annihilator congruences, and power-orbit congruences.
 
-The closure engine is a worklist over (generating pair, multiplier) items:
-each item contributes the relation instance (c*t, d*t) and spawns children
-(pair, t*s) for every monoid element s.  The multipliers therefore sweep the
-whole monoid, and every union-find merge is justified by a single one-step
-instance, which is exactly what a witnessing sequence needs.
+The least right congruence containing pairs R is the equivalence generated by
+the instances (c*t, d*t) for (c, d) in R and t in S.  The instances are closed
+under right multiplication, as (c*t)*s = c*(t*s), so their equivalence closure
+is right compatible.  The closure therefore sweeps pairs times multipliers
+directly and needs only the product rows of the pairs' own elements.  Every
+union-find merge is justified by a single one-step instance, which is exactly
+what a witnessing sequence needs.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -195,19 +198,22 @@ class RightCongruence:
 
 
 def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
-    """Least right congruence on S containing the given element pairs."""
+    """Least right congruence on S containing the given element pairs.
+
+    Every pair is merged at the identity multiplier first, then each pair in
+    turn at every other multiplier; each merge is recorded as one instance
+    (c*t, d*t).  Only the product rows of the pairs' own elements are used.
+    """
     pair_idx = [(S.index_of(a), S.index_of(b)) for a, b in pairs]
     m = len(S)
     parent = list(range(m))
     edges = []
     adjacency = {}
-    seen = set()
-    queue = deque()
-    for p in range(len(pair_idx)):
-        seen.add((p, 0))
-        queue.append((p, 0))
-    while queue:
-        p, t = queue.popleft()
+    sweep = itertools.chain(
+        ((p, 0) for p in range(len(pair_idx))),
+        ((p, t) for p in range(len(pair_idx)) for t in range(1, m)),
+    )
+    for p, t in sweep:
         c, d = pair_idx[p]
         u = S.mul_idx(c, t)
         v = S.mul_idx(d, t)
@@ -218,11 +224,6 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
             edges.append((u, v, p, t))
             adjacency.setdefault(u, []).append(edge_id)
             adjacency.setdefault(v, []).append(edge_id)
-        for ts in S._row(t):
-            child = (p, ts)
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
     groups = {}
     for x in range(m):
         groups.setdefault(find(parent, x), []).append(x)

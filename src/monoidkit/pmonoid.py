@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .congruence import YSequence
 from .elements import PartialMap
+from .order import natural_leq
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,6 @@ def nf_of_word(word: str) -> NF:
     return NF._from_internal(tuple(sorted(excluded)), shift)
 
 
-def nf_is_idempotent(a: NF) -> bool:
-    return nf_mul(a, a) == a
-
-
-def nf_natural_leq(a: NF, b: NF) -> bool:
-    """Natural order on idempotents, evaluated by the defining products."""
-    if not nf_is_idempotent(a):
-        raise ValueError(f"{a!r} is not idempotent")
-    if not nf_is_idempotent(b):
-        raise ValueError(f"{b!r} is not idempotent")
-    return nf_mul(b, a) == a and nf_mul(a, b) == a
-
-
 def nf_window(a: NF, half_width: int) -> PartialMap:
     """Restrict the represented map to the integer window [-N, N].
 
@@ -197,18 +185,18 @@ def check_nc(max_n: int) -> bool:
             return False
     for m in range(1, max_n + 1):
         for n in range(1, max_n + 1):
-            if nf_natural_leq(up[m], dn[n]) or nf_natural_leq(dn[n], up[m]):
+            if natural_leq(up[m], dn[n]) or natural_leq(dn[n], up[m]):
                 return False
             if m != n:
-                if nf_natural_leq(up[m], up[n]) or nf_natural_leq(dn[m], dn[n]):
+                if natural_leq(up[m], up[n]) or natural_leq(dn[m], dn[n]):
                     return False
     for n in range(1, max_n + 1):
         eup = nf_mul(e, up[n])
         for k in range(1, n):
-            if nf_natural_leq(eup, up[k]):
+            if natural_leq(eup, up[k]):
                 return False
         for k in range(1, n + 1):
-            if nf_natural_leq(eup, dn[k]):
+            if natural_leq(eup, dn[k]):
                 return False
     return True
 
@@ -377,8 +365,8 @@ def chain_search(
         max_magnitude = 3 * n
     if max_magnitude < 0:
         raise ValueError(f"max_magnitude must be non-negative, got {max_magnitude}")
-    start = nf_of_word("g" * n + "e")
-    target = nf_of_word("h" * n + "e" + "g" * n)
+    start = NF._from_internal((-n,), n)  # g^n e
+    target = NF._from_internal((n,), 0)  # h^n e g^n
     levels = {}
 
     def directed(w):

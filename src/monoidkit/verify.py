@@ -330,7 +330,3 @@ def run_suite(name: str, seed: int = 0, max_k: int = 50, max_n: int = 50) -> Sui
     accepted = inspect.signature(fn).parameters
     options = {"seed": seed, "max_k": max_k, "max_n": max_n}
     return fn(**{key: value for key, value in options.items() if key in accepted})
-
-
-def run_suites(names, seed: int = 0):
-    return [run_suite(name, seed) for name in names]

@@ -151,6 +151,15 @@ def test_pmonoid_chain_twelve_digit_y_index(capsys):
     ]
 
 
+def test_pmonoid_chain_twelve_digit_n(capsys):
+    code, out, _ = run(capsys, "pmonoid", "chain", "--n", "1000000000000")
+    assert code == 0
+    assert out == (
+        "n=1000000000000 y=999999999999 reached=false explored=2 pruned=0 "
+        "bounds=|E|<=1000000000002,mag<=3000000000000,len<=8\n"
+    )
+
+
 def test_pmonoid_chain_zero_y_index(capsys):
     code, out, err = run(capsys, "pmonoid", "chain", "--n", "2", "--y-index", "0")
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -12,7 +13,7 @@ from monoidkit.congruence import (
     subact_generators,
     y_sequence,
 )
-from monoidkit.elements import EqRel, PartialMap
+from monoidkit.elements import EqRel, PartialMap, find
 from monoidkit.verify import cached_monoid, delta
 
 
@@ -99,6 +100,73 @@ def test_rc_close_monotone_in_generators(T2, PT2):
         small = rc_close(S, pool[:2])
         big = rc_close(S, pool)
         assert small.subset_of(big)
+
+
+def _rc_close_by_worklist(S, pairs):
+    """The closure as a BFS over (pair, multiplier) items, each item spawning
+    (pair, t*s) for every s, as rc_close computed it before the direct sweep.
+    Returns the partition and the merge records in order."""
+    pair_idx = [(S.index_of(a), S.index_of(b)) for a, b in pairs]
+    parent = list(range(len(S)))
+    edges = []
+    seen = {(p, 0) for p in range(len(pair_idx))}
+    queue = deque((p, 0) for p in range(len(pair_idx)))
+    while queue:
+        p, t = queue.popleft()
+        c, d = pair_idx[p]
+        u, v = S.mul_idx(c, t), S.mul_idx(d, t)
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            edges.append((u, v, p, t))
+        for ts in S._row(t):
+            if (p, ts) not in seen:
+                seen.add((p, ts))
+                queue.append((p, ts))
+    eqrel = EqRel.from_pairs(range(len(S)), [(u, v) for u, v, _, _ in edges])
+    els = S.elements
+    trace = tuple((els[u], els[v], pairs[p], els[t]) for u, v, p, t in edges)
+    return eqrel, trace
+
+
+@pytest.mark.parametrize("kind,n", [("T", 3), ("PT", 3), ("I", 3), ("P", 2)])
+def test_rc_close_matches_worklist_oracle(kind, n):
+    S = cached_monoid(kind, n)
+    rng = random.Random(f"{kind}{n}")
+    a, b = rng.choice(S.elements), rng.choice(S.elements)
+    cases = [[], [(a, b), (a, b)], [(a, a)], [(a, a), (a, b)]]
+    for _ in range(12):
+        count = rng.randint(0, 3)
+        cases.append([(rng.choice(S.elements), rng.choice(S.elements)) for _ in range(count)])
+    for pairs in cases:
+        rho = rc_close(S, pairs)
+        assert (rho.eqrel, rho.trace) == _rc_close_by_worklist(S, pairs), pairs
+
+
+def test_rc_close_matches_worklist_oracle_on_opposite(T3):
+    op = T3.opposite()
+    rng = random.Random(29)
+    for _ in range(8):
+        pairs = [(rng.choice(op.elements), rng.choice(op.elements)) for _ in range(rng.randint(1, 3))]
+        rho = rc_close(op, pairs)
+        assert (rho.eqrel, rho.trace) == _rc_close_by_worklist(op, pairs), pairs
+
+
+def test_rc_close_multiplies_only_by_its_pairs_rows():
+    # Each pair needs the rows of its two elements, m products each; the
+    # worklist it replaced filled the whole m x m table.
+    calls = [0]
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return a * b
+
+    S = FiniteMonoid(cached_monoid("T", 4).elements, mul=counting_mul)
+    rng = random.Random(31)
+    pairs = [(rng.choice(S.elements), rng.choice(S.elements)) for _ in range(2)]
+    calls[0] = 0
+    rc_close(S, pairs)
+    assert calls[0] <= 2 * len(pairs) * len(S)
 
 
 # --- witnesses ----------------------------------------------------------------

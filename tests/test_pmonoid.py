@@ -6,6 +6,7 @@ import pytest
 
 from monoidkit.congruence import YSequence
 from monoidkit.elements import PartialMap
+from monoidkit.order import is_idempotent, natural_leq
 from monoidkit.pmonoid import (
     NF,
     NF_IDENTITY,
@@ -19,9 +20,7 @@ from monoidkit.pmonoid import (
     divide_left,
     in_annihilator,
     nf_inverse,
-    nf_is_idempotent,
     nf_mul,
-    nf_natural_leq,
     nf_of_word,
     nf_power,
     nf_window,
@@ -99,7 +98,7 @@ def test_idempotents_are_exactly_zero_shift():
     rng = random.Random(6)
     for _ in range(500):
         a = random_nf(rng)
-        assert nf_is_idempotent(a) == (a.shift == 0)
+        assert is_idempotent(a) == (a.shift == 0)
 
 
 # --- windows as an independent oracle ---------------------------------------
@@ -203,19 +202,19 @@ def test_natural_order_is_reverse_puncture_containment():
     for _ in range(500):
         a = NF(random_nf(rng).excluded, 0)
         b = NF(random_nf(rng).excluded, 0)
-        assert nf_natural_leq(a, b) == (set(b.excluded) <= set(a.excluded))
+        assert natural_leq(a, b) == (set(b.excluded) <= set(a.excluded))
 
 
 def test_natural_order_rejects_non_idempotent():
     with pytest.raises(ValueError):
-        nf_natural_leq(SHIFT_UP, PUNCTURE)
+        natural_leq(SHIFT_UP, PUNCTURE)
 
 
 def test_conjugated_punctures_form_antichain():
     ups = [nf_of_word("g" * n + "e" + "h" * n) for n in range(1, 51)]
     assert ups == [NF((-n,), 0) for n in range(1, 51)]
     for a, b in itertools.combinations(ups, 2):
-        assert not nf_natural_leq(a, b) and not nf_natural_leq(b, a)
+        assert not natural_leq(a, b) and not natural_leq(b, a)
 
 
 def test_double_puncture_below_single():
@@ -223,7 +222,7 @@ def test_double_puncture_below_single():
     low = nf_of_word("e" + "g" * n + "e" + "h" * n)
     high = nf_of_word("g" * n + "e" + "h" * n)
     assert low == NF((-n, 0), 0)
-    assert nf_natural_leq(low, high)
+    assert natural_leq(low, high)
 
 
 
@@ -304,7 +303,7 @@ def test_right_divisibility_is_puncture_containment():
         u, v = random_nf(rng), random_nf(rng)
         law = set(v.excluded) <= set(u.excluded)
         assert bool(divide_left(v, u)) == law
-        idem = nf_natural_leq(nf_mul(u, nf_inverse(u)), nf_mul(v, nf_inverse(v)))
+        idem = natural_leq(nf_mul(u, nf_inverse(u)), nf_mul(v, nf_inverse(v)))
         assert idem == law
 
 
@@ -469,6 +468,21 @@ def test_chain_cost_does_not_grow_with_y_index():
         report = chain_search(n, y_index=10 ** 12)
         assert report.reached and report.depth == 1
         assert replace(report, y_index=n) == chain_search(n, y_index=n)
+
+
+def test_chain_endpoints_closed_form_match_words():
+    for n in range(1, 30):
+        assert nf_of_word("g" * n + "e") == NF((-n,), n)
+        assert nf_of_word("h" * n + "e" + "g" * n) == NF((n,), 0)
+
+
+def test_chain_cost_does_not_grow_with_n():
+    # Start and target are built in closed form, and below the target level
+    # only (1, e) applies, so a 12-digit n gives the report of a small one.
+    small = chain_search(5)
+    for n in (10 ** 12, 10 ** 12 + 1):
+        expected = replace(small, n=n, y_index=n - 1, max_excluded=n + 2, max_magnitude=3 * n)
+        assert chain_search(n) == expected
 
 
 def test_chain_refuses_vacuous_bounds():
