@@ -1,6 +1,13 @@
 """Finite monoids, right congruence closure with reconstructible witnesses,
 annihilator congruences, and power-orbit congruences.
 
+A full monoid's product rows come from its generators (the row half of
+Froidure & Pin 1997): the generators' rows are computed by products, and
+since (g*p)*j = g*(p*j), the row of any x = g*p is the row of p looked up in
+the row of g.  A left factor tree, built once from the generators' rows,
+gives every element such a factorization, and also the left column S*b in m
+lookups, as x*b = g*(p*b).
+
 The least right congruence containing pairs R is the equivalence generated by
 the instances (c*t, d*t) for (c, d) in R and t in S.  The instances are closed
 under right multiplication, as (c*t)*s = c*(t*s), so their equivalence closure
@@ -17,14 +24,19 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .elements import EqRel, enumerate_elements, find, identity_of, DEFAULT_ENUM_CAP
+from .elements import EqRel, enumerate_elements, find, generators, identity_of, DEFAULT_ENUM_CAP
 
 
 class FiniteMonoid:
     """An enumerated monoid: canonical element list with the identity first.
 
-    Products are computed with `*` on the elements (overridable) and cached
-    row by row, so repeated ideal and congruence computations stay cheap.
+    Product rows are cached; row i lists the indices of elements[i] * x for
+    every x.  Without generators every row is computed with `*` on the
+    elements (overridable).  A full monoid records its standard generators.
+    Its first rows, as many as it has generators, are computed by products,
+    so a closure or an annihilator that reads a row or two pays nothing
+    more.  Past those, the generators' rows are computed by products too,
+    and every other row is composed from them along the left factor tree.
     """
 
     def __init__(self, elements, mul=None, check=True):
@@ -38,6 +50,10 @@ class FiniteMonoid:
                 raise ValueError(f"duplicate element {x!r}")
             self._index[x] = i
         self._rows = [None] * len(self.elements)
+        self._product_rows = 0
+        # Generator indices, set only where the generating set is known.
+        self._generators = None
+        self._tree = None
         self._right_ideals = {}
         self._left_ideals = {}
         if check:
@@ -52,7 +68,9 @@ class FiniteMonoid:
         elements = enumerate_elements(kind, n, cap=cap)
         one = identity_of(kind, n)
         elements.remove(one)
-        return cls([one] + elements, check=False)
+        S = cls([one] + elements, check=False)
+        S._generators = [S._index[g] for g in generators(kind, n)]
+        return S
 
     def __len__(self):
         return len(self.elements)
@@ -66,19 +84,81 @@ class FiniteMonoid:
         except KeyError:
             raise ValueError(f"{x!r} is not an element of this monoid") from None
 
-    def _row(self, i):
+    def row(self, i):
+        """Indices of a*x for every x, a = elements[i]; the cached list, not
+        to be modified."""
         row = self._rows[i]
         if row is None:
-            a = self.elements[i]
-            try:
-                row = [self._index[self._mul_fn(a, b)] for b in self.elements]
-            except KeyError as exc:
-                raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
-            self._rows[i] = row
+            gens = self._generators
+            if gens is None or self._tree is None and self._product_rows < len(gens):
+                row = self._product_row(i)
+            else:
+                row = self._composed_row(i)
         return row
 
+    def _product_row(self, i):
+        a = self.elements[i]
+        try:
+            row = [self._index[self._mul_fn(a, b)] for b in self.elements]
+        except KeyError as exc:
+            raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
+        self._rows[i] = row
+        self._product_rows += 1
+        return row
+
+    def _left_factor_tree(self):
+        """(order, gen, parent): the elements in breadth-first order from the
+        identity, and for every other element x a generator gen[x] and an
+        element parent[x] earlier in that order with x = gen[x]*parent[x]."""
+        if self._tree is None:
+            m = len(self.elements)
+            gen_rows = [(g, self._rows[g] or self._product_row(g)) for g in self._generators]
+            parent = [-1] * m
+            parent[0] = 0
+            gen = [0] * m
+            order = [0]
+            for p in order:  # grows while it is walked
+                for g, row in gen_rows:
+                    x = row[p]
+                    if parent[x] < 0:
+                        parent[x] = p
+                        gen[x] = g
+                        order.append(x)
+            if len(order) < m:
+                raise ValueError(f"the generators reach {len(order)} of {m} elements")
+            if self._rows[0] is None:
+                self._rows[0] = list(range(m))
+            self._tree = (order, gen, parent)
+        return self._tree
+
+    def _composed_row(self, i):
+        _, gen, parent = self._left_factor_tree()
+        rows = self._rows
+        path = []
+        x = i
+        while rows[x] is None:
+            path.append(x)
+            x = parent[x]
+        for x in reversed(path):
+            rows[x] = list(map(rows[gen[x]].__getitem__, rows[parent[x]]))
+        return rows[i]
+
+    def column(self, j):
+        """Indices of x*b for every x, b = elements[j], as a new list.
+
+        With generators it is read off the left factor tree, x*b = g*(p*b),
+        in m lookups and no products; without, off every row."""
+        if self._generators is None:
+            return [self.row(i)[j] for i in range(len(self.elements))]
+        order, gen, parent = self._left_factor_tree()
+        rows = self._rows
+        col = [j] * len(order)
+        for x in itertools.islice(order, 1, None):
+            col[x] = rows[gen[x]][col[parent[x]]]
+        return col
+
     def mul_idx(self, i, j):
-        return self._row(i)[j]
+        return self.row(i)[j]
 
     def mul(self, x, y):
         return self.elements[self.mul_idx(self.index_of(x), self.index_of(y))]
@@ -87,7 +167,7 @@ class FiniteMonoid:
         """Indices of a*S for a = elements[i]."""
         ideal = self._right_ideals.get(i)
         if ideal is None:
-            ideal = frozenset(self._row(i))
+            ideal = frozenset(self.row(i))
             self._right_ideals[i] = ideal
         return ideal
 
@@ -95,7 +175,7 @@ class FiniteMonoid:
         """Indices of S*a for a = elements[j]."""
         ideal = self._left_ideals.get(j)
         if ideal is None:
-            ideal = frozenset(self.mul_idx(i, j) for i in range(len(self)))
+            ideal = frozenset(self.column(j))
             self._left_ideals[j] = ideal
         return ideal
 
@@ -103,9 +183,12 @@ class FiniteMonoid:
         return [i for i in range(len(self)) if self.mul_idx(i, i) == i]
 
     def opposite(self):
-        """The same elements with reversed multiplication."""
+        """The same elements with reversed multiplication, and the same
+        generators."""
         fn = self._mul_fn
-        return FiniteMonoid(self.elements, mul=lambda a, b: fn(b, a), check=False)
+        op = FiniteMonoid(self.elements, mul=lambda a, b: fn(b, a), check=False)
+        op._generators = self._generators
+        return op
 
     def __repr__(self):
         return f"FiniteMonoid({len(self.elements)} elements)"
@@ -289,17 +372,16 @@ def is_right_congruence(S: FiniteMonoid, eqrel: EqRel) -> bool:
     return True
 
 
-def annihilator(S: FiniteMonoid, rho: RightCongruence, a, check=True) -> RightCongruence:
-    """The right congruence {(u, v) : a*u related to a*v under rho}."""
-    ia = S.index_of(a)
+def annihilator(S: FiniteMonoid, rho: RightCongruence, a) -> RightCongruence:
+    """The right congruence {(u, v) : a*u related to a*v under rho}.
+
+    It is right compatible by construction: a*u rho a*v gives
+    a*u*s rho a*v*s, so only the row of a is read.
+    """
     groups = {}
-    for u in range(len(S)):
-        key = rho.eqrel.class_of(S.mul_idx(ia, u))
-        groups.setdefault(key, []).append(u)
-    eqrel = EqRel(groups.values())
-    if check:
-        assert is_right_congruence(S, eqrel)
-    return RightCongruence(S, eqrel)
+    for u, au in enumerate(S.row(S.index_of(a))):
+        groups.setdefault(rho.eqrel.class_of(au), []).append(u)
+    return RightCongruence(S, EqRel(groups.values()))
 
 
 def kappa(S: FiniteMonoid, s) -> RightCongruence:

@@ -484,6 +484,8 @@ def enumerate_elements(kind, n, cap=DEFAULT_ENUM_CAP):
 
     Refuses to run when the predicted count exceeds `cap`.
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     count = element_count(kind, n)
     if cap is not None and count > cap:
         raise ValueError(f"enumerating {kind}_{n} would produce {count} elements (cap {cap})")
@@ -509,6 +511,44 @@ def enumerate_elements(kind, n, cap=DEFAULT_ENUM_CAP):
             for blocks in _set_partitions(range(1, 2 * n + 1))
         ]
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def generators(kind, n):
+    """The standard generating set of the full monoid of a kind.
+
+    The symmetric group comes from a transposition and an n-cycle; T and PT
+    add the rank n-1 idempotent [1,1,3..n], I and PT the rank n-1 partial
+    identity [_,2..n], and P the projection {1}{1'} and the join {1 2 1' 2'}
+    (each fixing the other points).  Members that would be the identity or a
+    repeat are left out, so the set is smaller for n < 3 and empty for n = 0.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    rest = list(range(3, n + 1))
+    images = []
+    if n >= 2:
+        images.append([2, 1] + rest)
+    if n >= 3:
+        images.append(list(range(2, n + 1)) + [1])
+    if kind == "P":
+        gens = [
+            Partition._from_internal(n, [(x, n + v) for x, v in enumerate(perm, start=1)])
+            for perm in images
+        ]
+        if n >= 1:
+            gens.append(Partition._from_internal(
+                n, [(1,), (n + 1,)] + [(x, n + x) for x in range(2, n + 1)]))
+        if n >= 2:
+            gens.append(Partition._from_internal(
+                n, [(1, 2, n + 1, n + 2)] + [(x, n + x) for x in rest]))
+        return gens
+    if kind in ("T", "PT") and n >= 2:
+        images.append([1, 1] + rest)
+    if kind in ("I", "PT") and n >= 1:
+        images.append([None] + list(range(2, n + 1)))
+    return [PartialMap(img) for img in images]
 
 
 EMBEDDINGS = ("I->PT", "I->P", "PT->T")

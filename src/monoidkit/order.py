@@ -43,16 +43,18 @@ def leq_L(kind, a, b) -> bool:
 
 
 def leq_oracle(S, a, b, side="R") -> OrderVerdict:
-    """Search every s in S for b*s == a (side R) or s*b == a (side L)."""
+    """The first s in S with b*s == a (side R) or s*b == a (side L), found
+    in b's product row or left column."""
     if side not in ("R", "L"):
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
     ia = S.index_of(a)
     ib = S.index_of(b)
-    for s in range(len(S)):
-        prod = S.mul_idx(ib, s) if side == "R" else S.mul_idx(s, ib)
-        if prod == ia:
-            return OrderVerdict(True, S.elements[s])
-    return OrderVerdict(False)
+    products = S.row(ib) if side == "R" else S.column(ib)
+    try:
+        s = products.index(ia)
+    except ValueError:
+        return OrderVerdict(False)
+    return OrderVerdict(True, S.elements[s])
 
 
 def is_idempotent(x) -> bool:

@@ -84,6 +84,32 @@ def test_annihilator_command(capsys):
     assert set(out.splitlines()) == {"[1,2]\t[1,1]", "[2,1]\t[2,2]"}
 
 
+def test_negative_n_refused(capsys):
+    code, out, err = run(capsys, "cong-close", "--kind", "T", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: n must be non-negative, got -1\n")
+    code, out, err = run(capsys, "annihilator", "--kind", "I", "--n", "-2", "--elem", "[]")
+    assert (code, out, err) == (2, "", "error: n must be non-negative, got -2\n")
+
+
+def test_cong_close_smallest_n(capsys):
+    assert run(capsys, "cong-close", "--kind", "T", "--n", "0") == (0, "[]\n", "")
+    assert run(capsys, "cong-close", "--kind", "P", "--n", "1") == (0, "{1 1'}\n{1}{1'}\n", "")
+
+
+def test_meet_left_verify_on_t5(capsys):
+    code, out, _ = run(
+        capsys, "meet", "--kind", "T", "--side", "L", "--verify", "[1,1,3,4,5]", "[2,2,3,4,5]"
+    )
+    assert (code, out) == (0, "[3,3,3,4,5]\nverified\n")
+
+
+def test_green_left_oracle_on_t5(capsys):
+    code, out, err = run(
+        capsys, "green", "--kind", "T", "--side", "L", "--oracle", "[1,1,3,4,5]", "[2,2,3,4,5]"
+    )
+    assert (code, out, err) == (1, "false\n", "")
+
+
 def test_pmonoid_relations(capsys):
     code, out, _ = run(capsys, "pmonoid", "relations", "--max-k", "10")
     assert code == 0 and out == "true\n"

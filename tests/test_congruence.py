@@ -13,7 +13,8 @@ from monoidkit.congruence import (
     subact_generators,
     y_sequence,
 )
-from monoidkit.elements import EqRel, PartialMap, find
+from monoidkit.elements import EqRel, PartialMap, Partition, find, generators
+from monoidkit.order import leq_oracle
 from monoidkit.verify import cached_monoid, delta
 
 
@@ -56,6 +57,77 @@ def test_foreign_elements_rejected(T2):
 def test_opposite_monoid(T2):
     op = T2.opposite()
     assert op.mul(CONST1, SWAP) == T2.mul(SWAP, CONST1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteMonoid.full("T", 3),
+        lambda: FiniteMonoid.full("PT", 3),
+        lambda: FiniteMonoid.full("I", 3),
+        lambda: FiniteMonoid.full("P", 2),
+        lambda: FiniteMonoid.full("T", 4),
+        lambda: FiniteMonoid.full("T", 3).opposite(),
+    ],
+    ids=["T3", "PT3", "I3", "P2", "T4", "T3-opposite"],
+)
+def test_composed_rows_and_tree_columns_match_products(build):
+    S = build()
+    direct = FiniteMonoid(S.elements, mul=S._mul_fn, check=False)  # no generators
+    m = len(S)
+    assert [S.column(j) for j in range(m)] == [direct.column(j) for j in range(m)]
+    assert [S.row(i) for i in range(m)] == [direct.row(i) for i in range(m)]
+
+
+def test_generators_missing_an_element_refused():
+    S = FiniteMonoid.full("T", 3)
+    gens = [S.index_of(g) for g in generators("T", 3)]
+    for dropped in range(len(gens)):
+        partial = FiniteMonoid(S.elements, check=False)
+        partial._generators = gens[:dropped] + gens[dropped + 1:]
+        with pytest.raises(ValueError, match="generators reach"):
+            partial.column(0)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts products of partial maps and partitions, however they are called."""
+    calls = [0]
+    for cls in (PartialMap, Partition):
+        original = cls.__mul__
+
+        def counting(a, b, original=original):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+def test_full_table_costs_generator_rows_not_m_squared(products):
+    # Direct rows would cost m^2 = 65,536 products on T_4.
+    S = FiniteMonoid.full("T", 4)
+    m, g = len(S), len(generators("T", 4))
+    products[0] = 0
+    for i in range(m):
+        S.row(i)
+    assert products[0] <= 2 * g * m
+
+
+def test_one_pair_closure_pays_only_its_rows(products):
+    S = FiniteMonoid.full("T", 4)
+    a, b = S.elements[5], S.elements[77]
+    products[0] = 0
+    rc_close(S, [(a, b)])
+    assert products[0] <= 2 * len(S)
+
+
+def test_cold_left_oracle_pays_only_generator_rows(products):
+    S = FiniteMonoid.full("T", 4)
+    a, b = pm(3, 3, 3, 3), pm(2, 2, 3, 4)
+    products[0] = 0
+    assert leq_oracle(S, a, b, "L").holds
+    assert products[0] <= len(generators("T", 4)) * len(S)
 
 
 # --- congruence closure -------------------------------------------------------
@@ -119,7 +191,7 @@ def _rc_close_by_worklist(S, pairs):
         if ru != rv:
             parent[ru] = rv
             edges.append((u, v, p, t))
-        for ts in S._row(t):
+        for ts in S.row(t):
             if (p, ts) not in seen:
                 seen.add((p, ts))
                 queue.append((p, ts))
@@ -239,6 +311,24 @@ def test_annihilator_under_universal(T2):
     universal = rc_close(T2, [(a, b) for a in T2.elements for b in T2.elements])
     assert universal.num_classes == 1
     assert annihilator(T2, universal, CONST1).num_classes == 1
+
+
+@pytest.mark.parametrize("kind,n", [("T", 3), ("PT", 3), ("I", 3), ("P", 2)])
+def test_annihilator_is_right_congruence(kind, n):
+    S = cached_monoid(kind, n)
+    rng = random.Random(f"ann{kind}{n}")
+    closure = rc_close(S, [(rng.choice(S.elements), rng.choice(S.elements)) for _ in range(2)])
+    universal = rc_close(S, [(S.elements[0], x) for x in S.elements])
+    for rho in (delta(S), closure, universal):
+        for a in S.elements:
+            assert is_right_congruence(S, annihilator(S, rho, a).eqrel), (rho, a)
+
+
+def test_annihilator_reads_one_row(products):
+    S = FiniteMonoid(cached_monoid("T", 4).elements)
+    products[0] = 0
+    annihilator(S, delta(S), pm(1, 1, 3, 4))
+    assert products[0] <= len(S)
 
 
 def test_kappa_identity_is_equality(T2):

@@ -10,6 +10,8 @@ from monoidkit.elements import (
     element_count,
     embed,
     enumerate_elements,
+    generators,
+    identity_of,
 )
 
 
@@ -257,6 +259,28 @@ def test_unknown_kind_rejected():
         enumerate_elements("Q", 2)
     with pytest.raises(ValueError):
         element_count("Q", 2)
+
+
+def test_negative_n_rejected():
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        enumerate_elements("T", -1)
+    with pytest.raises(ValueError, match="n must be non-negative, got -2"):
+        generators("I", -2)
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [(kind, n) for kind in ("T", "PT", "I") for n in range(5)] + [("P", n) for n in range(4)],
+)
+def test_generators_reach_every_element(kind, n):
+    gens = generators(kind, n)
+    one = identity_of(kind, n)
+    assert len(set(gens)) == len(gens) and one not in gens
+    reached = frontier = {one}
+    while frontier:
+        frontier = {g * x for x in frontier for g in gens} - reached
+        reached = reached | frontier
+    assert reached == set(enumerate_elements(kind, n))
 
 
 # --- embeddings --------------------------------------------------------------
