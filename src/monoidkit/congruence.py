@@ -363,12 +363,13 @@ def y_sequence(rho: RightCongruence, a, b):
 
 def is_right_congruence(S: FiniteMonoid, eqrel: EqRel) -> bool:
     """Full compatibility check: every related pair stays related under every
-    right multiplier."""
+    right multiplier, so the members of a class have equal rows once each
+    product is replaced by the index of its class."""
+    label = eqrel._class_index.__getitem__
     for cls in eqrel.classes:
-        for s in range(len(S)):
-            images = {eqrel.class_of(S.mul_idx(u, s)) for u in cls}
-            if len(images) > 1:
-                return False
+        first = list(map(label, S.row(cls[0])))
+        if any(list(map(label, S.row(u))) != first for u in cls[1:]):
+            return False
     return True
 
 

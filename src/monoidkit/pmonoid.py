@@ -211,19 +211,17 @@ class AnnihilatorVerdict:
 def in_annihilator(u: NF, v: NF) -> AnnihilatorVerdict:
     """Decide whether g^n·e·u == e·v or h^n·e·u == e·v for some n >= 0.
 
-    The shift difference of e·v and e·u pins down the only possible exponent
-    and side, so a single equality check settles membership.
+    With d the shift of e·v less that of e·u, the shift by d is the only
+    candidate, and it sends e·u to ({x - d : x punctured in e·u}, e·v's
+    shift), so comparing the punctures settles membership: n = |d|, on the
+    g side when d > 0 and the h side when d < 0.
     """
     eu = nf_mul(PUNCTURE, u)
     ev = nf_mul(PUNCTURE, v)
-    diff = ev.shift - eu.shift
-    if diff == 0:
-        return AnnihilatorVerdict(eu == ev, 0 if eu == ev else None, None)
-    if diff > 0:
-        ok = nf_mul(nf_power(SHIFT_UP, diff), eu) == ev
-        return AnnihilatorVerdict(ok, diff if ok else None, "g" if ok else None)
-    ok = nf_mul(nf_power(SHIFT_DOWN, -diff), eu) == ev
-    return AnnihilatorVerdict(ok, -diff if ok else None, "h" if ok else None)
+    d = ev.shift - eu.shift
+    if ev.excluded != tuple(x - d for x in eu.excluded):
+        return AnnihilatorVerdict(False)
+    return AnnihilatorVerdict(True, abs(d), "g" if d > 0 else "h" if d < 0 else None)
 
 
 def annihilator_witness(u: NF, v: NF) -> YSequence:
@@ -247,29 +245,20 @@ def annihilator_witness(u: NF, v: NF) -> YSequence:
         else:
             steps = ((one, e, v), (e, one, u))
     else:
-        n = verdict.n
-        if verdict.side == "g":
-            left = nf_mul(nf_power(SHIFT_UP, n), e)
-            right = nf_mul(nf_mul(nf_power(SHIFT_DOWN, n), e), nf_power(SHIFT_UP, n))
-        else:
-            left = nf_mul(nf_power(SHIFT_DOWN, n), e)
-            right = nf_mul(nf_mul(nf_power(SHIFT_UP, n), e), nf_power(SHIFT_DOWN, n))
-        steps = ((one, e, v), (left, right, eu), (e, one, u))
+        steps = ((one, e, v), (*_y_pair(ev.shift - eu.shift), eu), (e, one, u))
     seq = YSequence(v, u, steps)
     if not seq.validate(nf_mul):
         raise AssertionError(f"constructed witness fails to validate for ({u!r}, {v!r})")
     return seq
 
 
-def _y_level(k: int):
-    """The two generating pairs of exponent k: (g^k e, h^k e g^k) and
-    (h^k e, g^k e h^k).  Each element has the single puncture k or -k."""
-    gk = nf_power(SHIFT_UP, k)
-    hk = nf_power(SHIFT_DOWN, k)
-    return (
-        (nf_mul(gk, PUNCTURE), nf_mul(nf_mul(hk, PUNCTURE), gk)),
-        (nf_mul(hk, PUNCTURE), nf_mul(nf_mul(gk, PUNCTURE), hk)),
-    )
+def _y_pair(s: int):
+    """The generating pair at signed level s, ({-s};+s, {s};+0).
+
+    s = k > 0 gives (g^k e, h^k e g^k) and s = -k gives (h^k e, g^k e h^k):
+    the first element punctures -s and the second punctures s.
+    """
+    return NF._from_internal((-s,), s), NF._from_internal((s,), 0)
 
 
 def y_n(n: int):
@@ -278,7 +267,7 @@ def y_n(n: int):
         raise ValueError("n must be at least 1")
     pairs = [(NF_IDENTITY, PUNCTURE)]
     for k in range(1, n + 1):
-        pairs.extend(_y_level(k))
+        pairs += (_y_pair(k), _y_pair(-k))
     return pairs
 
 
@@ -309,12 +298,15 @@ def divide_left(c: NF, u: NF):
 class ChainReport:
     """Outcome of a bounded reachability search.
 
-    reached=False is a certificate only for the stated bounds; it never
-    proves unreachability outright.  `pruned` counts successor states that
-    were discarded for exceeding the puncture or magnitude bounds.
-    `exhausted` is true only when the frontier emptied before the length cap
-    cut it off; with `pruned == 0` as well, the whole reachable state set was
-    enumerated.  `pruned == 0` alone says nothing about the length cap.
+    `pruned` counts successor states that were discarded for exceeding the
+    puncture or magnitude bounds.  `exhausted` is true only when the frontier
+    emptied before the length cap cut it off; `pruned == 0` alone says
+    nothing about the length cap.  When `exhausted`, `pruned == 0` and
+    reached=False all hold, the search enumerated the whole
+    rho_{Y_y_index}-class of g^n·e, since `divide_left` returns every t with
+    c·t = w and only pairs whose c cannot divide w are skipped; so
+    (g^n e, h^n e g^n) is not in rho_{Y_y_index}.  Otherwise reached=False is
+    evidence for the stated bounds only.
     """
 
     n: int
@@ -344,8 +336,8 @@ def chain_search(
 
     Some t exists only when c's punctures are among w's, so from w only
     (1, e), (e, 1) when 0 is a puncture, and the pairs of levels k = |x| for
-    punctures x of w are tried, in the order of y_n.  Levels are built on
-    first use, so the cost does not grow with the value of y_index.
+    punctures x of w are tried, in the order of y_n.  Each pair is built in
+    closed form, so the cost does not grow with the value of y_index or n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -365,9 +357,7 @@ def chain_search(
         max_magnitude = 3 * n
     if max_magnitude < 0:
         raise ValueError(f"max_magnitude must be non-negative, got {max_magnitude}")
-    start = NF._from_internal((-n,), n)  # g^n e
-    target = NF._from_internal((n,), 0)  # h^n e g^n
-    levels = {}
+    start, target = _y_pair(n)
 
     def directed(w):
         """The directed pairs (c, d) of Y_{y_index} whose c divides w."""
@@ -376,9 +366,12 @@ def chain_search(
         if 0 in punctures:
             pairs.append((PUNCTURE, NF_IDENTITY))
         for k in sorted({abs(x) for x in punctures if 0 < abs(x) <= y_index}):
-            if k not in levels:
-                levels[k] = [p for c, d in _y_level(k) for p in ((c, d), (d, c))]
-            pairs.extend((c, d) for c, d in levels[k] if c.excluded[0] in punctures)
+            for s in (k, -k):
+                c, d = _y_pair(s)
+                if -s in punctures:
+                    pairs.append((c, d))
+                if s in punctures:
+                    pairs.append((d, c))
         return pairs
 
     def within_bounds(w):

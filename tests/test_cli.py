@@ -122,10 +122,26 @@ def test_pmonoid_nc(capsys):
 
 def test_pmonoid_ann_yes(capsys):
     code, out, _ = run(capsys, "pmonoid", "ann", "ge", "heg")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "yes n=1 side=h"
-    assert lines[1] == "witness\t3 steps"
+    assert (code, out) == (
+        0,
+        "yes n=1 side=h\n"
+        "witness\t3 steps\n"
+        "{};+0\t{0};+0\t{1};+0\n"
+        "{1};-1\t{-1};+0\t{-1,0};+1\n"
+        "{0};+0\t{};+0\t{-1};+1\n",
+    )
+
+
+def test_pmonoid_ann_g_side(capsys):
+    code, out, _ = run(capsys, "pmonoid", "ann", "he", "geh")
+    assert (code, out) == (
+        0,
+        "yes n=1 side=g\n"
+        "witness\t3 steps\n"
+        "{};+0\t{0};+0\t{-1};+0\n"
+        "{-1};+1\t{1};+0\t{0,1};-1\n"
+        "{0};+0\t{};+0\t{1};-1\n",
+    )
 
 
 def test_pmonoid_ann_no(capsys):
@@ -135,8 +151,7 @@ def test_pmonoid_ann_no(capsys):
 
 def test_pmonoid_ann_nf_literals(capsys):
     code, out, _ = run(capsys, "pmonoid", "ann", "--nf", "{};+0", "{0};+0")
-    assert code == 0
-    assert out.splitlines()[0] == "yes n=0"
+    assert (code, out) == (0, "yes n=0\nwitness\t1 steps\n{0};+0\t{};+0\t{};+0\n")
 
 
 def test_pmonoid_ann_twelve_digit_shift(capsys):

@@ -324,6 +324,45 @@ def test_annihilator_is_right_congruence(kind, n):
             assert is_right_congruence(S, annihilator(S, rho, a).eqrel), (rho, a)
 
 
+def _is_right_congruence_by_multipliers(S, eqrel):
+    """The check as one image set per (class, multiplier), as
+    is_right_congruence computed it before it compared labelled rows."""
+    for cls in eqrel.classes:
+        for s in range(len(S)):
+            images = {eqrel.class_of(S.mul_idx(u, s)) for u in cls}
+            if len(images) > 1:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cached_monoid("T", 3),
+        lambda: cached_monoid("PT", 3),
+        lambda: cached_monoid("I", 3),
+        lambda: cached_monoid("P", 2),
+        lambda: cached_monoid("T", 3).opposite(),
+    ],
+    ids=["T3", "PT3", "I3", "P2", "T3-opposite"],
+)
+def test_is_right_congruence_matches_multiplier_oracle(build):
+    S = build()
+    m = len(S)
+    rng = random.Random(m)
+    relations = [delta(S).eqrel, EqRel([range(m)])]
+    for _ in range(4):
+        pairs = [(rng.choice(S.elements), rng.choice(S.elements)) for _ in range(rng.randint(1, 2))]
+        rho = rc_close(S, pairs)
+        relations += [rho.eqrel, annihilator(S, rho, rng.choice(S.elements)).eqrel]
+    for _ in range(20):
+        links = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(1, 3))]
+        relations.append(EqRel.from_pairs(range(m), links))
+    verdicts = [is_right_congruence(S, r) for r in relations]
+    assert verdicts == [_is_right_congruence_by_multipliers(S, r) for r in relations]
+    assert True in verdicts and False in verdicts
+
+
 def test_annihilator_reads_one_row(products):
     S = FiniteMonoid(cached_monoid("T", 4).elements)
     products[0] = 0

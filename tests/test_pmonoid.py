@@ -13,6 +13,8 @@ from monoidkit.pmonoid import (
     PUNCTURE,
     SHIFT_DOWN,
     SHIFT_UP,
+    AnnihilatorVerdict,
+    _y_pair,
     annihilator_witness,
     chain_search,
     check_nc,
@@ -364,6 +366,76 @@ def test_witness_pairs_come_from_some_generating_level():
         assert seq.uses_only(y_n(max(verdict.n, 1)))
 
 
+def _in_annihilator_by_powers(u, v):
+    """The decision as in_annihilator made it before the signed-level closed
+    form: multiply e·u by the candidate power of g or h and compare."""
+    eu = nf_mul(PUNCTURE, u)
+    ev = nf_mul(PUNCTURE, v)
+    diff = ev.shift - eu.shift
+    if diff == 0:
+        return AnnihilatorVerdict(eu == ev, 0 if eu == ev else None, None)
+    if diff > 0:
+        ok = nf_mul(nf_power(SHIFT_UP, diff), eu) == ev
+        return AnnihilatorVerdict(ok, diff if ok else None, "g" if ok else None)
+    ok = nf_mul(nf_power(SHIFT_DOWN, -diff), eu) == ev
+    return AnnihilatorVerdict(ok, -diff if ok else None, "h" if ok else None)
+
+
+def _level_pair_by_powers(n, side):
+    """(g^n e, h^n e g^n) for side g, (h^n e, g^n e h^n) for side h, as
+    products of powers."""
+    near, far = (SHIFT_UP, SHIFT_DOWN) if side == "g" else (SHIFT_DOWN, SHIFT_UP)
+    left = nf_mul(nf_power(near, n), PUNCTURE)
+    right = nf_mul(nf_mul(nf_power(far, n), PUNCTURE), nf_power(near, n))
+    return left, right
+
+
+def _witness_steps_by_powers(u, v):
+    """The witness steps as annihilator_witness built them from powers."""
+    verdict = _in_annihilator_by_powers(u, v)
+    e, one = PUNCTURE, NF_IDENTITY
+    eu, ev = nf_mul(e, u), nf_mul(e, v)
+    if verdict.n == 0:
+        if v == eu:
+            return ((e, one, u),)
+        if u == ev:
+            return ((one, e, v),)
+        return ((one, e, v), (e, one, u))
+    return ((one, e, v), (*_level_pair_by_powers(verdict.n, verdict.side), eu), (e, one, u))
+
+
+def _accepted_pairs(rng, count, max_coord):
+    """Pairs in the relation by construction: e·v is e·u shifted by one of
+    its own punctures d (d = 0 gives n = 0), with 0 dropped from v half the
+    time."""
+    pairs = []
+    for _ in range(count):
+        u = random_nf(rng, max_coord=max_coord)
+        eu = nf_mul(PUNCTURE, u)
+        d = rng.choice(eu.excluded)
+        excluded = [x - d for x in eu.excluded]
+        if rng.random() < 0.5:
+            excluded.remove(0)
+        pairs.append((u, NF(tuple(excluded), eu.shift + d)))
+    return pairs
+
+
+def test_annihilator_matches_power_oracle():
+    rng = random.Random(26)
+    pairs = _accepted_pairs(rng, 400, 10) + _accepted_pairs(rng, 200, 10 ** 12)
+    pairs += [(random_nf(rng), random_nf(rng)) for _ in range(2000)]
+    members, sides = 0, set()
+    for u, v in pairs:
+        verdict = in_annihilator(u, v)
+        assert verdict == _in_annihilator_by_powers(u, v), (u, v)
+        if verdict.member:
+            members += 1
+            sides.add((verdict.side, verdict.n > 10 ** 11))
+            assert annihilator_witness(u, v).steps == _witness_steps_by_powers(u, v), (u, v)
+    assert 600 <= members < 700
+    assert sides == {(None, False), ("g", False), ("h", False), ("g", True), ("h", True)}
+
+
 # --- generating pairs and the chain search --------------------------------------------
 
 
@@ -399,9 +471,13 @@ def test_chain_report_records_bounds():
 
 def test_chain_search_saturates_without_pruning():
     # The reachable set from the start state is tiny, so even generous bounds
-    # never prune anything and the frontier dies out on its own.
-    for n in (2, 3):
-        report = chain_search(n, max_excluded=10, max_magnitude=10 * n, max_length=20)
+    # never prune anything and the frontier dies out on its own; so does the
+    # default search, which thereby proves the target outside rho_{Y_{n-1}}.
+    reports = [
+        chain_search(n, max_excluded=10, max_magnitude=10 * n, max_length=20) for n in (2, 3)
+    ]
+    reports += [chain_search(n) for n in range(2, 8)]
+    for report in reports:
         assert not report.reached
         assert report.pruned == 0
         assert report.explored == 2
@@ -474,6 +550,15 @@ def test_chain_endpoints_closed_form_match_words():
     for n in range(1, 30):
         assert nf_of_word("g" * n + "e") == NF((-n,), n)
         assert nf_of_word("h" * n + "e" + "g" * n) == NF((n,), 0)
+    pairs = y_n(30)
+    assert len(pairs) == 61 and pairs[0] == (NF_IDENTITY, PUNCTURE)
+    for k in range(1, 31):
+        gk, hk = "g" * k, "h" * k
+        assert pairs[2 * k - 1] == (nf_of_word(gk + "e"), nf_of_word(hk + "e" + gk))
+        assert pairs[2 * k] == (nf_of_word(hk + "e"), nf_of_word(gk + "e" + hk))
+    k = 10 ** 12
+    assert _y_pair(k) == _level_pair_by_powers(k, "g")
+    assert _y_pair(-k) == _level_pair_by_powers(k, "h")
 
 
 def test_chain_cost_does_not_grow_with_n():
