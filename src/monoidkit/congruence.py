@@ -147,9 +147,13 @@ class FiniteMonoid:
         """Indices of x*b for every x, b = elements[j], as a new list.
 
         With generators it is read off the left factor tree, x*b = g*(p*b),
-        in m lookups and no products; without, off every row."""
+        in m lookups and no products; without, by m products, filling no row."""
         if self._generators is None:
-            return [self.row(i)[j] for i in range(len(self.elements))]
+            b = self.elements[j]
+            try:
+                return [self._index[self._mul_fn(x, b)] for x in self.elements]
+            except KeyError as exc:
+                raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
         order, gen, parent = self._left_factor_tree()
         rows = self._rows
         col = [j] * len(order)

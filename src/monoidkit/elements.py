@@ -303,6 +303,11 @@ class Partition:
         Works on three rows of n nodes: this diagram spans rows 0-1, the other
         spans rows 1-2; blocks of the product are the connected components of
         the union, restricted to rows 0 and 2.
+
+        The groups are filled in point order, upper row first, so each block
+        is ascending and the blocks come in order of their minimum, and every
+        point lands in exactly one block: they are already canonical, and the
+        product is built without `_canonical`'s re-validation.
         """
         if not isinstance(other, Partition):
             return NotImplemented
@@ -323,7 +328,10 @@ class Partition:
             groups.setdefault(find(parent, x - 1), []).append(x)
         for x in range(1, n + 1):
             groups.setdefault(find(parent, 2 * n + x - 1), []).append(n + x)
-        return Partition._from_internal(n, groups.values())
+        product = object.__new__(Partition)
+        object.__setattr__(product, "n", n)
+        object.__setattr__(product, "blocks", tuple([tuple(g) for g in groups.values()]))
+        return product
 
     def star(self):
         """Swap the two rows; an involutive anti-isomorphism."""

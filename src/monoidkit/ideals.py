@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import FiniteMonoid
-from .elements import PartialMap, Partition, require_kind
+from .elements import PartialMap, Partition, find, require_kind
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,28 @@ def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
     inside dom a ∩ dom b, and collapses each such class to its minimum.
     For total inputs the result is total; for injective inputs the classes
     are singletons and the result is the partial identity on dom a ∩ dom b.
+
+    One union-find links each point to the first preimage of its image,
+    under a and then under b, always hanging the larger root below the
+    smaller, so every root is its class's minimum.  Each image is then a
+    root plus one, a point of 1..n, so the result needs no re-validation.
     """
     _check_sizes(a, b)
-    joined = a.ker().join(b.ker())
-    inter = a.dom() & b.dom()
-    images = [None] * a.n
-    for cls in joined.classes:
-        if all(x in inter for x in cls):
-            target = cls[0]
-            for x in cls:
-                images[x - 1] = target
-    return MeetResult.found(PartialMap(images))
+    parent = list(range(a.n))
+    for images in (a.images, b.images):
+        first = {}
+        for x, v in enumerate(images):
+            if v is not None:
+                y = first.setdefault(v, x)
+                if y != x:
+                    rx, ry = find(parent, x), find(parent, y)
+                    if rx != ry:
+                        parent[max(rx, ry)] = min(rx, ry)
+    roots = [find(parent, x) for x in range(a.n)]
+    dropped = {r for r, u, v in zip(roots, a.images, b.images) if u is None or v is None}
+    return MeetResult.found(
+        PartialMap._from_internal(tuple([None if r in dropped else r + 1 for r in roots]))
+    )
 
 
 def meet_left(kind, a, b) -> MeetResult:

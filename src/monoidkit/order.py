@@ -71,12 +71,16 @@ def natural_leq(e, f) -> bool:
 
 
 def generalized_inverses(S, a) -> list:
-    """All x in S with a*x*a == a and x*a*x == x; empty iff a is not regular."""
+    """All x in S with a*x*a == a and x*a*x == x; empty iff a is not regular.
+
+    With col the left column of a, a*x*a is col[a*x] and x*a*x is read in
+    the row of x*a, so only the rows of a and of members of S*a are read.
+    """
     ia = S.index_of(a)
-    out = []
-    for x in range(len(S)):
-        axa = S.mul_idx(S.mul_idx(ia, x), ia)
-        xax = S.mul_idx(S.mul_idx(x, ia), x)
-        if axa == ia and xax == x:
-            out.append(S.elements[x])
-    return out
+    row_a = S.row(ia)
+    col = S.column(ia)
+    return [
+        S.elements[x]
+        for x in range(len(S))
+        if col[row_a[x]] == ia and S.row(col[x])[x] == x
+    ]

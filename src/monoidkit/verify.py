@@ -254,6 +254,8 @@ def suite_ann_decision(seed: int = 0, count: int = 1000):
             return False, f"witness fails for ({u!r}, {v!r})"
         if len(witness) != 3 or not witness.uses_only(y_n(verdict.n)):
             return False, f"witness not a 3-step chain over Y_{verdict.n}"
+    ups = [nf_power(SHIFT_UP, k) for k in range(16)]
+    downs = [nf_power(SHIFT_DOWN, k) for k in range(16)]
     rejected = 0
     while rejected < count:
         u = _random_nf(rng, 3, 10)
@@ -266,10 +268,10 @@ def suite_ann_decision(seed: int = 0, count: int = 1000):
         candidate = nf_power(SHIFT_UP if diff >= 0 else SHIFT_DOWN, abs(diff))
         if nf_mul(candidate, eu) == ev:
             return False, f"rejected pair actually satisfies its candidate: ({u!r}, {v!r})"
-        for k in range(16):
-            if nf_mul(nf_power(SHIFT_UP, k), eu) == ev:
+        for k, (up, down) in enumerate(zip(ups, downs)):
+            if nf_mul(up, eu) == ev:
                 return False, f"rejected pair reachable with g^{k}: ({u!r}, {v!r})"
-            if nf_mul(nf_power(SHIFT_DOWN, k), eu) == ev:
+            if nf_mul(down, eu) == ev:
                 return False, f"rejected pair reachable with h^{k}: ({u!r}, {v!r})"
     return True, f"{count} accepted pairs carry validating 3-step witnesses; {count} rejections confirmed"
 

@@ -14,6 +14,11 @@ def T3():
 
 
 @pytest.fixture(scope="session")
+def T4():
+    return cached_monoid("T", 4)
+
+
+@pytest.fixture(scope="session")
 def PT2():
     return cached_monoid("PT", 2)
 

@@ -1,3 +1,5 @@
+import time
+
 from monoidkit.cli import main
 
 
@@ -113,6 +115,15 @@ def test_green_left_oracle_on_t5(capsys):
 def test_pmonoid_relations(capsys):
     code, out, _ = run(capsys, "pmonoid", "relations", "--max-k", "10")
     assert code == 0 and out == "true\n"
+
+
+def test_pmonoid_relations_large_bound_in_linear_time(capsys):
+    # Words for exponent k have 4k+2 letters; the closed-form relations do
+    # not, so 200,000 relations take seconds rather than hours.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pmonoid", "relations", "--max-k", "100000")
+    assert code == 0 and out == "true\n"
+    assert time.perf_counter() - start < 30
 
 
 def test_pmonoid_nc(capsys):

@@ -35,6 +35,8 @@ def test_finite_monoid_rejects_non_closed_list():
     S = FiniteMonoid([ID2, SWAP, CONST1])
     with pytest.raises(ValueError):
         S.mul(CONST1, SWAP)  # const2 is missing from the list
+    with pytest.raises(ValueError, match="not closed"):
+        S.column(S.index_of(SWAP))  # the column meets const1 * swap too
 
 
 def test_finite_monoid_rejects_non_identity_head():

@@ -107,6 +107,17 @@ def test_partition_square_matches_partial_bijection_view():
     assert a * a == Partition(2, [[1], [2], [-1], [-2]])
 
 
+def test_partition_products_are_canonical(P2, P3):
+    # The product is built without canonicalising; its blocks must already
+    # be in the form the validating canonicaliser produces.
+    rng = random.Random(43)
+    pairs = list(itertools.product(P2.elements, repeat=2))
+    pairs += [(rng.choice(P3.elements), rng.choice(P3.elements)) for _ in range(2000)]
+    for a, b in pairs:
+        p = a * b
+        assert p.blocks == Partition._canonical(p.n, p.blocks), (a, b)
+
+
 def test_partition_identity_is_neutral(P2):
     one = Partition.identity(2)
     for a in P2.elements:

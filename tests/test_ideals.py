@@ -57,6 +57,39 @@ def test_meet_right_preserves_kind():
     assert injective.is_injective
 
 
+def _meet_right_pt_by_kernels(a, b):
+    """The joined-kernel construction that the union-find replaced."""
+    joined = a.ker().join(b.ker())
+    inter = a.dom() & b.dom()
+    images = [None] * a.n
+    for cls in joined.classes:
+        if all(x in inter for x in cls):
+            for x in cls:
+                images[x - 1] = cls[0]
+    return PartialMap(images)
+
+
+def _assert_meet_right_pt_matches_kernels(a, b):
+    gen = meet_right_pt(a, b).generator
+    assert gen == _meet_right_pt_by_kernels(a, b), (a, b)
+    assert PartialMap(gen.images) == gen
+
+
+def test_meet_right_pt_matches_kernel_join_exhaustive(PT3, T3, I3):
+    for S in (PT3, T3, I3):
+        for a, b in itertools.product(S.elements, repeat=2):
+            _assert_meet_right_pt_matches_kernels(a, b)
+
+
+def test_meet_right_pt_matches_kernel_join_sampled_pt7():
+    rng = random.Random(41)
+    choices = [None] + list(range(1, 8))
+    for _ in range(2000):
+        a = PartialMap(rng.choice(choices) for _ in range(7))
+        b = PartialMap(rng.choice(choices) for _ in range(7))
+        _assert_meet_right_pt_matches_kernels(a, b)
+
+
 # --- left meets ----------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from monoidkit.congruence import FiniteMonoid
 from monoidkit.elements import PartialMap, Partition, enumerate_elements
 from monoidkit.order import (
     generalized_inverses,
@@ -152,6 +153,42 @@ def test_generalized_inverses(T2, I2):
     a = pm(2, None)
     assert a.inverse() in generalized_inverses(I2, a)
     assert a.inverse() == pm(None, 1)
+
+
+def _generalized_inverses_by_products(S, a):
+    """The whole-row sweep that the column lookups replaced."""
+    ia = S.index_of(a)
+    out = []
+    for x in range(len(S)):
+        axa = S.mul_idx(S.mul_idx(ia, x), ia)
+        xax = S.mul_idx(S.mul_idx(x, ia), x)
+        if axa == ia and xax == x:
+            out.append(S.elements[x])
+    return out
+
+
+def test_generalized_inverses_match_row_sweep(T3, PT3, I3, P2):
+    for S in (PT3, T3, I3, P2):
+        for a in S.elements:
+            assert generalized_inverses(S, a) == _generalized_inverses_by_products(S, a), a
+
+
+def test_generalized_inverses_read_only_rows_of_left_multiples(T4):
+    # The row sweep filled all m rows of a generator-less T_4, m products
+    # each; the column lookups read a's row, a's column and the rows of S*a.
+    calls = [0]
+
+    def counting_mul(x, y):
+        calls[0] += 1
+        return x * y
+
+    S = FiniteMonoid(T4.elements, mul=counting_mul, check=False)
+    m = len(S)
+    for a in (pm(1, 1, 1, 1), pm(2, 2, 4, 4), pm(1, 1, 3, 4)):
+        left_multiples = len(set(T4.column(T4.index_of(a))))
+        calls[0] = 0
+        assert generalized_inverses(S, a) == generalized_inverses(T4, a)
+        assert calls[0] <= (2 + left_multiples) * m < m * m
 
 
 def test_everything_regular_in_full_monoids(T3, PT3, I3, P2):

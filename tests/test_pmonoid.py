@@ -27,6 +27,7 @@ from monoidkit.pmonoid import (
     nf_power,
     nf_window,
     presentation_relations,
+    _presentation_sides,
     y_n,
 )
 
@@ -140,6 +141,23 @@ def _window_pointwise(a, half_width):
     return PartialMap(images)
 
 
+def _window_by_ranges(a, half_width):
+    """The range-built window that the padded-run slice replaced."""
+    needed = (max(abs(x) for x in a.excluded) if a.excluded else 0) + abs(a.shift)
+    if half_width < needed:
+        raise ValueError(f"window half-width {half_width} < required {needed}")
+    n = half_width
+    size = 2 * n + 1
+    s = a.shift
+    if s >= 0:
+        images = list(range(s + 1, size + 1)) + [None] * s
+    else:
+        images = [None] * -s + list(range(1, size + 1 + s))
+    for x in a.excluded:
+        images[x + n] = None
+    return PartialMap(images)
+
+
 def test_window_closed_form_matches_pointwise():
     rng = random.Random(20)
     cases = [NF_IDENTITY, SHIFT_UP, SHIFT_DOWN, PUNCTURE, NF((-3, 3), 0), NF((-2, 2), -1)]
@@ -152,7 +170,43 @@ def test_window_closed_form_matches_pointwise():
         # image at the window's edge.
         for half in (needed, needed + 1, needed + 7):
             assert nf_window(a, half) == _window_pointwise(a, half), (a, half)
+            assert nf_window(a, half) == _window_by_ranges(a, half), (a, half)
+        if needed:
+            with pytest.raises(ValueError):
+                nf_window(a, needed - 1)
     assert shifts == {-1, 0, 1}
+    assert nf_window(NF_IDENTITY, 0).images == (1,)
+
+
+def _nf_mul_by_sorting(a, b):
+    """The set-and-sort product rule, without the fast paths."""
+    excluded = set(a.excluded)
+    excluded.update(x - a.shift for x in b.excluded)
+    return NF(tuple(sorted(excluded)), a.shift + b.shift)
+
+
+def test_product_fast_paths_match_sorting():
+    rng = random.Random(23)
+    paths = {"b bare": 0, "a bare": 0, "same punctures": 0, "sorted": 0}
+    for _ in range(3000):
+        a, b = random_nf(rng), random_nf(rng)
+        draw = rng.randrange(4)
+        if draw == 0:
+            b = NF((), b.shift)
+        elif draw == 1:
+            a = NF((), a.shift)
+        elif draw == 2:
+            a, b = NF(a.excluded, 0), NF(a.excluded, b.shift)
+        if not b.excluded:
+            paths["b bare"] += 1
+        elif not a.excluded:
+            paths["a bare"] += 1
+        elif not a.shift and a.excluded == b.excluded:
+            paths["same punctures"] += 1
+        else:
+            paths["sorted"] += 1
+        assert nf_mul(a, b) == _nf_mul_by_sorting(a, b), (a, b)
+    assert min(paths.values()) > 100, paths
 
 
 def test_trusted_results_revalidate():
@@ -266,6 +320,15 @@ def test_checkers_refuse_negative_bounds():
     with pytest.raises(ValueError):
         check_nc(-5)
     assert check_presentation(0) and check_nc(0)
+
+
+def test_presentation_sides_match_words():
+    # The word-built sweep is the oracle for the closed-form blocks.
+    for max_k in (0, 1, 60):
+        sides = list(_presentation_sides(max_k))
+        words = presentation_relations(max_k)
+        assert sides == [(nf_of_word(lhs), nf_of_word(rhs)) for lhs, rhs in words]
+        assert check_presentation(max_k) == all(lhs == rhs for lhs, rhs in sides)
 
 
 def test_presentation_relations_shape():
