@@ -334,11 +334,22 @@ class Partition:
         return product
 
     def star(self):
-        """Swap the two rows; an involutive anti-isomorphism."""
+        """Swap the two rows; an involutive anti-isomorphism.
+
+        Swapping the rows of a valid partition leaves it valid, so only the
+        order is restored, with no `_canonical` pass: in an ascending block
+        the lower points, moved up, come before the upper points, moved down,
+        and the blocks are sorted again by their minimum.
+        """
         n = self.n
-        return Partition._from_internal(
-            n, [[p + n if p <= n else p - n for p in block] for block in self.blocks]
+        blocks = sorted(
+            tuple([p - n for p in block if p > n] + [p + n for p in block if p <= n])
+            for block in self.blocks
         )
+        result = object.__new__(Partition)
+        object.__setattr__(result, "n", n)
+        object.__setattr__(result, "blocks", tuple(blocks))
+        return result
 
     def _split(self, block):
         upper = tuple(p for p in block if p <= self.n)

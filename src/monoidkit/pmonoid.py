@@ -43,11 +43,13 @@ class NF:
         The caller guarantees that `excluded` is a tuple of strictly
         increasing ints, as `tuple(sorted(some_set))` is, or a strictly
         increasing tuple shifted by a constant; outside input goes through
-        `NF(...)` instead.
+        `NF(...)` instead.  The fields are written straight into the instance
+        dict, past the frozen dataclass's `__setattr__`.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(self, "shift", shift)
+        fields = self.__dict__
+        fields["excluded"] = excluded
+        fields["shift"] = shift
         return self
 
     def __mul__(self, other):
@@ -252,6 +254,14 @@ class AnnihilatorVerdict:
     side: str | None = None
 
 
+def _annihilator_decision(u: NF, v: NF):
+    """(e·u, e·v, d, member) for the pair (u, v); see `in_annihilator`."""
+    eu = nf_mul(PUNCTURE, u)
+    ev = nf_mul(PUNCTURE, v)
+    d = ev.shift - eu.shift
+    return eu, ev, d, ev.excluded == tuple([x - d for x in eu.excluded])
+
+
 def in_annihilator(u: NF, v: NF) -> AnnihilatorVerdict:
     """Decide whether g^n·e·u == e·v or h^n·e·u == e·v for some n >= 0.
 
@@ -260,10 +270,8 @@ def in_annihilator(u: NF, v: NF) -> AnnihilatorVerdict:
     shift), so comparing the punctures settles membership: n = |d|, on the
     g side when d > 0 and the h side when d < 0.
     """
-    eu = nf_mul(PUNCTURE, u)
-    ev = nf_mul(PUNCTURE, v)
-    d = ev.shift - eu.shift
-    if ev.excluded != tuple(x - d for x in eu.excluded):
+    _, _, d, member = _annihilator_decision(u, v)
+    if not member:
         return AnnihilatorVerdict(False)
     return AnnihilatorVerdict(True, abs(d), "g" if d > 0 else "h" if d < 0 else None)
 
@@ -273,15 +281,14 @@ def annihilator_witness(u: NF, v: NF) -> YSequence:
 
     For exponent n > 0 this is the three-step chain through (1,e) and the
     side's pair (g^n e, h^n e g^n) or (h^n e, g^n e h^n), with multipliers
-    v, e·u, u; exponent 0 degenerates to one or two steps.
+    v, e·u, u; exponent 0 degenerates to one or two steps.  The decision and
+    the steps share the products e·u and e·v.
     """
-    verdict = in_annihilator(u, v)
-    if not verdict.member:
+    eu, ev, d, member = _annihilator_decision(u, v)
+    if not member:
         raise ValueError("pair is not in the annihilator relation")
     e, one = PUNCTURE, NF_IDENTITY
-    eu = nf_mul(e, u)
-    ev = nf_mul(e, v)
-    if verdict.n == 0:
+    if d == 0:
         if v == eu:
             steps = ((e, one, u),)
         elif u == ev:
@@ -289,7 +296,7 @@ def annihilator_witness(u: NF, v: NF) -> YSequence:
         else:
             steps = ((one, e, v), (e, one, u))
     else:
-        steps = ((one, e, v), (*_y_pair(ev.shift - eu.shift), eu), (e, one, u))
+        steps = ((one, e, v), (*_y_pair(d), eu), (e, one, u))
     seq = YSequence(v, u, steps)
     if not seq.validate(nf_mul):
         raise AssertionError(f"constructed witness fails to validate for ({u!r}, {v!r})")

@@ -9,9 +9,16 @@ Grammars (sizes are inferred from the content):
 
 Parsing any canonical serialization returns an equal element, and
 re-serializing a parsed element reproduces canonical text.
+
+Digits are ASCII 0-9 only.  Each parser reads its text once, item by item.
+Text outside the grammar raises `ParseError`, whose position lies in
+0..len(text); the CLI prints it as `parse error: position P: reason` and
+exits with status 2.
 """
 
 from __future__ import annotations
+
+import re
 
 from .elements import PartialMap, Partition, require_kind
 from .pmonoid import NF, nf_of_word
@@ -26,100 +33,88 @@ class ParseError(ValueError):
         self.reason = message
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+# Each pattern reads one item with the spaces around it (the shift after ';'
+# takes none).  A missing digit run matches empty, so its start is the
+# position where a digit was expected.
+_SIGNED = re.compile(r" *([+-]?([0-9]*)) *")
+_SHIFT = re.compile(r"[+-]?([0-9]*)")
+_IMAGE = re.compile(r" *(?:(_)|([0-9]*)) *")
+_POINT = re.compile(r" *([0-9]*)(')? *")
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+def _take(text, pos, ch):
+    if text[pos:pos + 1] != ch:
+        raise ParseError(f"expected {ch!r}", pos)
 
-    def skip_spaces(self):
-        while self.peek() == " ":
-            self.pos += 1
 
-    def integer(self, signed=False):
-        start = self.pos
-        if signed and self.peek() in "+-":
-            self.pos += 1
-        if not self.peek().isdigit():
-            raise ParseError("expected a digit", self.pos)
-        while self.peek().isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
-
-    def expect_end(self):
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected {self.peek()!r}", self.pos)
+def _expect_end(text, pos):
+    if pos != len(text):
+        raise ParseError(f"unexpected {text[pos]!r}", pos)
 
 
 def parse_partial_map(text: str) -> PartialMap:
-    sc = _Scanner(text)
-    sc.take("[")
+    _take(text, 0, "[")
     images = []
-    sc.skip_spaces()
-    if sc.peek() != "]":
+    m = _IMAGE.match(text, 1)
+    if m.group(1) or m.group(2) or text[m.end():m.end() + 1] != "]":
         while True:
-            sc.skip_spaces()
-            if sc.peek() == "_":
-                sc.pos += 1
+            if m.group(1):
                 images.append(None)
             else:
-                at = sc.pos
-                value = sc.integer()
+                digits = m.group(2)
+                if not digits:
+                    raise ParseError("expected a digit", m.start(2))
+                value = int(digits)
                 if value < 1:
-                    raise ParseError("points are numbered from 1", at)
+                    raise ParseError("points are numbered from 1", m.start(2))
                 images.append(value)
-            sc.skip_spaces()
-            if sc.peek() == ",":
-                sc.pos += 1
-                continue
-            break
-    sc.take("]")
-    sc.expect_end()
+            pos = m.end()
+            if text[pos:pos + 1] != ",":
+                break
+            m = _IMAGE.match(text, pos + 1)
+    else:
+        pos = m.end()
+    _take(text, pos, "]")
+    _expect_end(text, pos + 1)
     n = len(images)
-    for i, v in enumerate(images):
+    for v in images:
         if v is not None and v > n:
             raise ParseError(f"image {v} exceeds the inferred size {n}", 0)
-    return PartialMap(images)
+    # Every image is None or an int in 1..n.
+    return PartialMap._from_internal(tuple(images))
 
 
 def parse_partition(text: str) -> Partition:
-    sc = _Scanner(text)
     blocks = []
-    points_seen = {}
+    points_seen = set()
     max_label = 0
-    while sc.peek():
-        sc.take("{")
+    pos = 0
+    while pos < len(text):
+        _take(text, pos, "{")
+        pos += 1
         block = []
         while True:
-            sc.skip_spaces()
-            at = sc.pos
-            label = sc.integer()
+            m = _POINT.match(text, pos)
+            digits = m.group(1)
+            at = m.start(1)
+            if not digits:
+                raise ParseError("expected a digit", at)
+            label = int(digits)
             if label < 1:
                 raise ParseError("points are numbered from 1", at)
-            primed = False
-            if sc.peek() == "'":
-                sc.pos += 1
-                primed = True
-            point = -label if primed else label
+            point = -label if m.group(2) else label
             if point in points_seen:
-                name = f"{label}'" if primed else str(label)
+                name = f"{label}'" if m.group(2) else str(label)
                 raise ParseError(f"point {name} repeated", at)
-            points_seen[point] = at
-            max_label = max(max_label, label)
+            points_seen.add(point)
+            if label > max_label:
+                max_label = label
             block.append(point)
-            sc.skip_spaces()
-            if sc.peek() == "}":
+            pos = m.end()
+            if text[pos:pos + 1] == "}":
                 break
-        sc.take("}")
+        pos += 1
         blocks.append(block)
-    sc.expect_end()
     if not blocks:
         raise ParseError("expected '{'", 0)
     n = max_label
@@ -131,28 +126,31 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_nf(text: str) -> NF:
-    sc = _Scanner(text)
-    sc.take("{")
-    excluded = []
-    sc.skip_spaces()
-    if sc.peek() != "}":
+    _take(text, 0, "{")
+    excluded = set()
+    m = _SIGNED.match(text, 1)
+    if m.group(1) or text[m.end():m.end() + 1] != "}":
         while True:
-            sc.skip_spaces()
-            at = sc.pos
-            value = sc.integer(signed=True)
+            if not m.group(2):
+                raise ParseError("expected a digit", m.start(2))
+            value = int(m.group(1))
             if value in excluded:
-                raise ParseError(f"excluded point {value} repeated", at)
-            excluded.append(value)
-            sc.skip_spaces()
-            if sc.peek() == ",":
-                sc.pos += 1
-                continue
-            break
-    sc.take("}")
-    sc.take(";")
-    shift = sc.integer(signed=True)
-    sc.expect_end()
-    return NF(tuple(sorted(excluded)), shift)
+                raise ParseError(f"excluded point {value} repeated", m.start(1))
+            excluded.add(value)
+            pos = m.end()
+            if text[pos:pos + 1] != ",":
+                break
+            m = _SIGNED.match(text, pos + 1)
+    else:
+        pos = m.end()
+    _take(text, pos, "}")
+    _take(text, pos + 1, ";")
+    m = _SHIFT.match(text, pos + 2)
+    if not m.group(1):
+        raise ParseError("expected a digit", m.start(1))
+    _expect_end(text, m.end())
+    # The values are distinct ints, so the sorted tuple is strictly increasing.
+    return NF._from_internal(tuple(sorted(excluded)), int(m.group()))
 
 
 def parse_word(text: str) -> NF:
@@ -182,7 +180,7 @@ def parse_element(kind: str, text: str):
 
 
 def format_nf(a: NF) -> str:
-    return "{%s};%+d" % (",".join(str(x) for x in a.excluded), a.shift)
+    return "{%s};%+d" % (",".join(map(str, a.excluded)), a.shift)
 
 
 def format_element(x) -> str:

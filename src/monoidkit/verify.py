@@ -66,8 +66,9 @@ def delta(S: FiniteMonoid) -> RightCongruence:
 
 def _random_nf(rng, max_excluded, max_coord) -> NF:
     k = rng.randint(0, max_excluded)
+    # Distinct draws, sorted: strictly increasing, so no re-validation.
     excluded = tuple(sorted(rng.sample(range(-max_coord, max_coord + 1), k)))
-    return NF(excluded, rng.randint(-max_coord, max_coord))
+    return NF._from_internal(excluded, rng.randint(-max_coord, max_coord))
 
 
 # --- suite bodies ---------------------------------------------------------

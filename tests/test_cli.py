@@ -292,3 +292,13 @@ def test_verify_all_aggregates(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_parse_error_at_end_of_text(capsys):
+    code, out, err = run(capsys, "pmonoid", "ann", "--nf", "{};", "{};+0")
+    assert (code, out, err) == (2, "", "parse error: position 3: expected a digit\n")
+
+
+def test_non_ascii_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "mul", "--kind", "PT", "[²]", "[1]")
+    assert (code, out, err) == (2, "", "parse error: position 1: expected a digit\n")

@@ -160,6 +160,18 @@ def test_star_laws_sampled_p3():
         assert a * a.star() * a == a
 
 
+def test_star_matches_canonical_swap():
+    """The star builds its blocks in canonical order without `_canonical`;
+    the validating build of the swapped blocks is its oracle."""
+    for n in (2, 3):
+        for a in enumerate_elements("P", n):
+            swapped = [[p + n if p <= n else p - n for p in block] for block in a.blocks]
+            want = Partition._from_internal(n, swapped)
+            got = a.star()
+            assert got == want and got.blocks == want.blocks == Partition._canonical(n, got.blocks)
+            assert type(got.blocks) is tuple and all(type(block) is tuple for block in got.blocks)
+
+
 def test_associativity_exhaustive():
     for kind, n in (("P", 2), ("PT", 2)):
         els = enumerate_elements(kind, n)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import monoidkit.pmonoid as pmonoid
 from monoidkit.congruence import YSequence
 from monoidkit.elements import PartialMap
 from monoidkit.order import is_idempotent, natural_leq
@@ -653,3 +654,76 @@ def test_chain_argument_validation():
     assert chain_search(1, y_index=1).reached
     with pytest.raises(ValueError):
         chain_search(3, max_length=-1)
+
+
+def _in_annihilator_before(u, v):
+    """in_annihilator as it was before the shared decision helper."""
+    eu = nf_mul(PUNCTURE, u)
+    ev = nf_mul(PUNCTURE, v)
+    d = ev.shift - eu.shift
+    if ev.excluded != tuple(x - d for x in eu.excluded):
+        return AnnihilatorVerdict(False)
+    return AnnihilatorVerdict(True, abs(d), "g" if d > 0 else "h" if d < 0 else None)
+
+
+def _annihilator_witness_before(u, v):
+    """annihilator_witness as it was before the shared decision helper: the
+    decision first, then e·u and e·v once more."""
+    verdict = _in_annihilator_before(u, v)
+    if not verdict.member:
+        raise ValueError("pair is not in the annihilator relation")
+    e, one = PUNCTURE, NF_IDENTITY
+    eu = nf_mul(e, u)
+    ev = nf_mul(e, v)
+    if verdict.n == 0:
+        if v == eu:
+            steps = ((e, one, u),)
+        elif u == ev:
+            steps = ((one, e, v),)
+        else:
+            steps = ((one, e, v), (e, one, u))
+    else:
+        steps = ((one, e, v), (*_y_pair(ev.shift - eu.shift), eu), (e, one, u))
+    return YSequence(v, u, steps)
+
+
+def test_shared_decision_matches_separate_decision():
+    rng = random.Random(29)
+    pairs = _accepted_pairs(rng, 1000, 10) + [(random_nf(rng), random_nf(rng)) for _ in range(1000)]
+    members = 0
+    for u, v in pairs:
+        verdict = in_annihilator(u, v)
+        assert verdict == _in_annihilator_before(u, v), (u, v)
+        if not verdict.member:
+            with pytest.raises(ValueError):
+                annihilator_witness(u, v)
+            continue
+        members += 1
+        got, want = annihilator_witness(u, v), _annihilator_witness_before(u, v)
+        assert (got.start, got.end, got.steps) == (want.start, want.end, want.steps), (u, v)
+    assert 1000 <= members < 1100
+
+
+def test_witness_makes_each_product_once(monkeypatch):
+    """e·u and e·v serve both the decision and the middle step, so a witness
+    for n > 0 costs those 2 products plus the 6 of its validation."""
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return nf_mul(a, b)
+
+    monkeypatch.setattr(pmonoid, "nf_mul", counting_mul)
+    rng = random.Random(31)
+    checked = 0
+    for u, v in _accepted_pairs(rng, 300, 10):
+        calls.clear()
+        verdict = in_annihilator(u, v)
+        assert len(calls) == 2
+        if verdict.n == 0:
+            continue
+        calls.clear()
+        annihilator_witness(u, v)
+        assert len(calls) <= 8, len(calls)
+        checked += 1
+    assert checked > 100
