@@ -184,7 +184,8 @@ class FiniteMonoid:
         return ideal
 
     def idempotent_idxs(self):
-        return [i for i in range(len(self)) if self.mul_idx(i, i) == i]
+        """One product per element; no row is filled."""
+        return [i for i, x in enumerate(self.elements) if self._mul_fn(x, x) == x]
 
     def opposite(self):
         """The same elements with reversed multiplication, and the same
@@ -384,8 +385,9 @@ def annihilator(S: FiniteMonoid, rho: RightCongruence, a) -> RightCongruence:
     a*u*s rho a*v*s, so only the row of a is read.
     """
     groups = {}
+    label = rho.eqrel._class_index
     for u, au in enumerate(S.row(S.index_of(a))):
-        groups.setdefault(rho.eqrel.class_of(au), []).append(u)
+        groups.setdefault(label[au], []).append(u)
     return RightCongruence(S, EqRel(groups.values()))
 
 

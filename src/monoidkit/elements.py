@@ -364,14 +364,6 @@ class Partition:
                 out.update(upper)
         return frozenset(out)
 
-    def codom(self):
-        out = set()
-        for block in self.blocks:
-            upper, lower = self._split(block)
-            if upper and lower:
-                out.update(lower)
-        return frozenset(out)
-
     def ker(self):
         """The induced partition of the upper row."""
         classes = []
@@ -381,15 +373,6 @@ class Partition:
                 classes.append(upper)
         return EqRel(classes)
 
-    def coker(self):
-        """The induced partition of the lower row, in unprimed labels."""
-        classes = []
-        for block in self.blocks:
-            _, lower = self._split(block)
-            if lower:
-                classes.append(lower)
-        return EqRel(classes)
-
     def upper_blocks(self):
         """Blocks lying entirely in the upper row."""
         out = set()
@@ -397,15 +380,6 @@ class Partition:
             upper, lower = self._split(block)
             if upper and not lower:
                 out.add(frozenset(upper))
-        return frozenset(out)
-
-    def lower_blocks(self):
-        """Blocks lying entirely in the lower row, in unprimed labels."""
-        out = set()
-        for block in self.blocks:
-            upper, lower = self._split(block)
-            if lower and not upper:
-                out.add(frozenset(lower))
         return frozenset(out)
 
     def __eq__(self, other):
@@ -577,7 +551,7 @@ def embed(pair, a):
     """Apply one of the standard kind embeddings to a single element.
 
     I->PT is the inclusion; I->P turns a partial bijection into a partition
-    with trivial kernel and cokernel; PT->T totalises on n+1 points, sending
+    whose rows both have trivial kernels; PT->T totalises on n+1 points, sending
     every undefined point (and the sink itself) to the sink n+1.
     """
     if pair == "I->PT":

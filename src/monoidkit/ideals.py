@@ -38,6 +38,17 @@ def _check_sizes(a, b):
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
 
 
+def _min_root_join(n, links):
+    """The root of each point 0..n-1 once the linked pairs are joined; the
+    larger root always hangs below the smaller, so roots are class minima."""
+    parent = list(range(n))
+    for x, y in links:
+        rx, ry = find(parent, x), find(parent, y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(parent, x) for x in range(n)]
+
+
 def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
     """Generator of aS ∩ bS for partial maps (total and injective included).
 
@@ -46,23 +57,22 @@ def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
     For total inputs the result is total; for injective inputs the classes
     are singletons and the result is the partial identity on dom a ∩ dom b.
 
-    One union-find links each point to the first preimage of its image,
-    under a and then under b, always hanging the larger root below the
-    smaller, so every root is its class's minimum.  Each image is then a
-    root plus one, a point of 1..n, so the result needs no re-validation.
+    The kernels are joined by linking each point to the first preimage of
+    its image, under a and then under b.  Each image is then a class
+    minimum plus one, a point of 1..n, so the result needs no re-validation.
     """
     _check_sizes(a, b)
-    parent = list(range(a.n))
-    for images in (a.images, b.images):
-        first = {}
-        for x, v in enumerate(images):
-            if v is not None:
-                y = first.setdefault(v, x)
-                if y != x:
-                    rx, ry = find(parent, x), find(parent, y)
-                    if rx != ry:
-                        parent[max(rx, ry)] = min(rx, ry)
-    roots = [find(parent, x) for x in range(a.n)]
+
+    def links():
+        for images in (a.images, b.images):
+            first = {}
+            for x, v in enumerate(images):
+                if v is not None:
+                    y = first.setdefault(v, x)
+                    if y != x:
+                        yield x, y
+
+    roots = _min_root_join(a.n, links())
     dropped = {r for r, u, v in zip(roots, a.images, b.images) if u is None or v is None}
     return MeetResult.found(
         PartialMap._from_internal(tuple([None if r in dropped else r + 1 for r in roots]))
@@ -98,40 +108,27 @@ def meet_left(kind, a, b) -> MeetResult:
 def meet_right_partition(a: Partition, b: Partition) -> MeetResult:
     """Generator of a·P ∩ b·P in the partition monoid, or emptiness.
 
-    Any common right multiple must contain every upper block of both factors
-    as a block and refine both kernels, which forces three conditions checked
-    below; when they hold, the element built from the combined upper blocks
-    plus one anchored transversal per remaining joined-kernel class generates
-    the intersection.
+    Any common right multiple contains every upper block of both factors as
+    a block and refines both kernels, so the intersection is empty unless
+    every upper block of a or of b is a whole class of the joined kernels.
+    When it is, those blocks plus every other joined class, anchored at the
+    lower copy of its minimum, generate the intersection.
     """
     _check_sizes(a, b)
     n = a.n
-    upper_a = a.upper_blocks()
-    upper_b = b.upper_blocks()
-    for blk_a in upper_a:
-        for blk_b in upper_b:
-            if blk_a != blk_b and blk_a & blk_b:
-                return MeetResult.nothing()
-    upper = upper_a | upper_b
-    anchored = set().union(*upper) if upper else set()
-    # Every kernel class of either factor that meets the anchored region must
-    # sit inside a single combined upper block; this subsumes not crossing
-    # into the complement.
-    for rel in (a.ker(), b.ker()):
-        for cls in rel.classes:
-            pts = set(cls)
-            if pts & anchored:
-                if not any(pts <= blk for blk in upper):
-                    return MeetResult.nothing()
-    rest = [x for x in range(1, n + 1) if x not in anchored]
-    gamma = a.ker().restrict(rest).join(b.ker().restrict(rest))
-    blocks = [tuple(sorted(blk)) for blk in upper]
-    used_lower = set()
-    for cls in gamma.classes:
-        z = cls[0]
-        blocks.append(cls + (n + z,))
-        used_lower.add(z)
-    blocks.extend((n + y,) for y in range(1, n + 1) if y not in used_lower)
+    both = a.blocks + b.blocks
+    # Blocks are ascending: a block with upper points starts with one.
+    links = ((p - 1, block[0] - 1) for block in both for p in block[1:] if p <= n)
+    roots = _min_root_join(n, links)
+    classes = {}
+    for x, r in enumerate(roots):
+        classes.setdefault(r, []).append(x + 1)
+    upper = {block for block in both if block[-1] <= n}
+    if any(len(classes[roots[block[0] - 1]]) != len(block) for block in upper):
+        return MeetResult.nothing()
+    kept = {roots[block[0] - 1] for block in upper}
+    blocks = [cls if r in kept else cls + [n + r + 1] for r, cls in classes.items()]
+    blocks.extend((n + x + 1,) for x in range(n) if x not in classes or x in kept)
     return MeetResult.found(Partition._from_internal(n, blocks))
 
 

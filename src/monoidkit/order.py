@@ -3,7 +3,9 @@
 `leq_R` / `leq_L` evaluate the closed-form characterizations per kind
 (domain/kernel containment for maps, kernel/upper-block containment for
 partitions); `leq_oracle` answers the same question by exhaustive multiplier
-search over an enumerated monoid and returns the witness it finds.
+search over an enumerated monoid and returns the witness it finds.  For
+partitions the left side, preorder and meet alike, is the right side
+transported through the row-swapping anti-involution `star`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def leq_L(kind, a, b) -> bool:
     """a is a left multiple of b."""
     _check_pair(kind, a, b)
     if kind == "P":
-        return b.coker().subset_of(a.coker()) and b.lower_blocks() <= a.lower_blocks()
+        return leq_R("P", a.star(), b.star())
     return a.im() <= b.im()
 
 

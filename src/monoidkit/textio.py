@@ -42,6 +42,14 @@ _IMAGE = re.compile(r" *(?:(_)|([0-9]*)) *")
 _POINT = re.compile(r" *([0-9]*)(')? *")
 
 
+def _int(numeral, at):
+    """A numeral's value; past Python's digit limit, a parse error at `at`."""
+    try:
+        return int(numeral)
+    except ValueError:
+        raise ParseError("numeral too long", at) from None
+
+
 def _take(text, pos, ch):
     if text[pos:pos + 1] != ch:
         raise ParseError(f"expected {ch!r}", pos)
@@ -64,7 +72,7 @@ def parse_partial_map(text: str) -> PartialMap:
                 digits = m.group(2)
                 if not digits:
                     raise ParseError("expected a digit", m.start(2))
-                value = int(digits)
+                value = _int(digits, m.start(2))
                 if value < 1:
                     raise ParseError("points are numbered from 1", m.start(2))
                 images.append(value)
@@ -99,7 +107,7 @@ def parse_partition(text: str) -> Partition:
             at = m.start(1)
             if not digits:
                 raise ParseError("expected a digit", at)
-            label = int(digits)
+            label = _int(digits, at)
             if label < 1:
                 raise ParseError("points are numbered from 1", at)
             point = -label if m.group(2) else label
@@ -133,7 +141,7 @@ def parse_nf(text: str) -> NF:
         while True:
             if not m.group(2):
                 raise ParseError("expected a digit", m.start(2))
-            value = int(m.group(1))
+            value = _int(m.group(1), m.start(1))
             if value in excluded:
                 raise ParseError(f"excluded point {value} repeated", m.start(1))
             excluded.add(value)
@@ -150,7 +158,7 @@ def parse_nf(text: str) -> NF:
         raise ParseError("expected a digit", m.start(1))
     _expect_end(text, m.end())
     # The values are distinct ints, so the sorted tuple is strictly increasing.
-    return NF._from_internal(tuple(sorted(excluded)), int(m.group()))
+    return NF._from_internal(tuple(sorted(excluded)), _int(m.group(), m.start()))
 
 
 def parse_word(text: str) -> NF:

@@ -243,6 +243,22 @@ def test_rc_close_multiplies_only_by_its_pairs_rows():
     assert calls[0] <= 2 * len(pairs) * len(S)
 
 
+def test_idempotent_idxs_costs_one_product_per_element(T4):
+    # Reading the diagonal filled every row of a generator-less T_4, m^2
+    # products; one square per element fills none.
+    calls = [0]
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return a * b
+
+    S = FiniteMonoid(T4.elements, mul=counting_mul, check=False)
+    idems = S.idempotent_idxs()
+    assert calls[0] <= len(S)
+    assert idems == [i for i in range(len(T4)) if T4.mul_idx(i, i) == i]
+    assert all(row is None for row in S._rows)
+
+
 # --- witnesses ----------------------------------------------------------------
 
 

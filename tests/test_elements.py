@@ -182,16 +182,16 @@ def test_associativity_exhaustive():
 def test_partition_profile_with_transversal():
     a = Partition(2, [[1, 2, -1], [-2]])
     assert a.dom() == {1, 2}
-    assert a.codom() == {1}
+    assert a.star().dom() == {1}
     assert a.ker() == EqRel([(1, 2)])
     assert a.upper_blocks() == frozenset()
-    assert a.lower_blocks() == {frozenset({2})}
+    assert a.star().upper_blocks() == {frozenset({2})}
 
 
 def test_partition_profile_identity():
     one = Partition.identity(3)
-    assert one.dom() == one.codom() == {1, 2, 3}
-    assert one.upper_blocks() == one.lower_blocks() == frozenset()
+    assert one.dom() == one.star().dom() == {1, 2, 3}
+    assert one.upper_blocks() == one.star().upper_blocks() == frozenset()
 
 
 def test_partition_profile_no_transversals():

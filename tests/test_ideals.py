@@ -147,6 +147,67 @@ def test_meet_partition_straddling_kernel_is_empty(P2):
     assert verify_meet(P2, a, b, result, "R")
 
 
+def _meet_right_partition_by_kernels(a, b):
+    """The pairwise upper-block and kernel-join construction that the
+    min-root union-find replaced."""
+    n = a.n
+    upper_a = a.upper_blocks()
+    upper_b = b.upper_blocks()
+    for blk_a in upper_a:
+        for blk_b in upper_b:
+            if blk_a != blk_b and blk_a & blk_b:
+                return MeetResult.nothing()
+    upper = upper_a | upper_b
+    anchored = set().union(*upper) if upper else set()
+    # Every kernel class of either factor that meets the anchored region must
+    # sit inside a single combined upper block.
+    for rel in (a.ker(), b.ker()):
+        for cls in rel.classes:
+            pts = set(cls)
+            if pts & anchored and not any(pts <= blk for blk in upper):
+                return MeetResult.nothing()
+    rest = [x for x in range(1, n + 1) if x not in anchored]
+    gamma = a.ker().restrict(rest).join(b.ker().restrict(rest))
+    blocks = [sorted(blk) for blk in upper]
+    used_lower = set()
+    for cls in gamma.classes:
+        blocks.append(list(cls) + [-cls[0]])
+        used_lower.add(cls[0])
+    blocks.extend([-y] for y in range(1, n + 1) if y not in used_lower)
+    return MeetResult.found(Partition(n, blocks))
+
+
+def _random_partition(rng, n):
+    """A partition of the 2n points drawn as a restricted-growth string whose
+    block count is capped at a random k, so both few and many blocks occur."""
+    points = list(range(1, n + 1)) + [-y for y in range(1, n + 1)]
+    cap = rng.randint(1, 2 * n)
+    blocks = []
+    for p in points:
+        label = rng.randrange(min(len(blocks) + 1, cap))
+        if label == len(blocks):
+            blocks.append([])
+        blocks[label].append(p)
+    return Partition(n, blocks)
+
+
+def test_meet_right_partition_matches_kernel_join_exhaustive_p3(P3):
+    for a, b in itertools.product(P3.elements, repeat=2):
+        assert meet_right_partition(a, b) == _meet_right_partition_by_kernels(a, b), (a, b)
+
+
+def test_meet_right_partition_matches_kernel_join_sampled_p5_p6():
+    rng = random.Random(43)
+    empty = 0
+    for n in (5, 6):
+        for _ in range(1000):
+            a, b = _random_partition(rng, n), _random_partition(rng, n)
+            result = meet_right_partition(a, b)
+            assert result == _meet_right_partition_by_kernels(a, b), (a, b)
+            empty += result.empty
+    assert 100 < empty < 1900
+
+
 def test_meet_left_partition_is_star_transport():
     rng = random.Random(31)
     p3 = cached_monoid("P", 3).elements

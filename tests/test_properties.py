@@ -7,7 +7,7 @@ Examples are drawn deterministically, so every run checks the same cases.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from monoidkit.elements import PartialMap, Partition, is_kind  # noqa: E402
 from monoidkit.pmonoid import NF, nf_mul, nf_window  # noqa: E402
@@ -99,6 +99,7 @@ texts = st.one_of(
 
 @deterministic
 @given(st.sampled_from(["PT", "T", "I", "P", "NF"]), texts)
+@example("NF", "{};+" + "1" * 5000)
 def test_text_parses_or_fails_in_range(kind, text):
     try:
         parse_element(kind, text)

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import sys
 
 import pytest
 import scanner_oracle
@@ -97,6 +98,33 @@ def test_only_ascii_digits(kind, template, position, digit):
     with pytest.raises(ParseError) as err:
         parse_element(kind, text)
     assert (err.value.reason, err.value.position) == ("expected a digit", position)
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG),
+    reason="this Python converts numerals of any length",
+)
+@pytest.mark.parametrize(
+    "kind,template,position",
+    [
+        ("PT", "[{}]", 1),
+        ("PT", "[1,{}]", 3),
+        ("P", "{{{} 1'}}", 1),
+        ("P", "{{1 1'}}{{{}'}}", 7),
+        ("NF", "{{{}}};+0", 1),
+        ("NF", "{{0, -{}}};+0", 4),
+        ("NF", "{{}};-{}", 3),
+    ],
+)
+def test_long_numerals(kind, template, position):
+    """A numeral past Python's integer string limit is a parse error at its
+    start, sign included, not a bare ValueError from int()."""
+    with pytest.raises(ParseError) as err:
+        parse_element(kind, template.format(LONG))
+    assert (err.value.reason, err.value.position) == ("numeral too long", position)
 
 
 FUZZ_ALPHABET = "{}[],;_'+- 0123456789x²"
