@@ -27,11 +27,21 @@ from dataclasses import dataclass
 from .elements import EqRel, enumerate_elements, find, generators, identity_of, DEFAULT_ENUM_CAP
 
 
+def _mask(indices):
+    """The int whose bit x is set iff x is among the indices."""
+    mask = 0
+    for x in set(indices):
+        mask |= 1 << x
+    return mask
+
+
 class FiniteMonoid:
     """An enumerated monoid: canonical element list with the identity first.
 
-    Product rows are cached; row i lists the indices of elements[i] * x for
-    every x.  Without generators every row is computed with `*` on the
+    Product rows, left columns and principal ideals are cached; row i lists
+    the indices of elements[i] * x for every x, column j those of
+    x * elements[j], and an ideal is an int bitmask over the indices.
+    Without generators every row and column is computed with `*` on the
     elements (overridable).  A full monoid records its standard generators.
     Its first rows, as many as it has generators, are computed by products,
     so a closure or an annihilator that reads a row or two pays nothing
@@ -50,6 +60,7 @@ class FiniteMonoid:
                 raise ValueError(f"duplicate element {x!r}")
             self._index[x] = i
         self._rows = [None] * len(self.elements)
+        self._columns = [None] * len(self.elements)
         self._product_rows = 0
         # Generator indices, set only where the generating set is known.
         self._generators = None
@@ -144,21 +155,28 @@ class FiniteMonoid:
         return rows[i]
 
     def column(self, j):
-        """Indices of x*b for every x, b = elements[j], as a new list.
+        """Indices of x*b for every x, b = elements[j]; the cached list, not
+        to be modified.
 
         With generators it is read off the left factor tree, x*b = g*(p*b),
-        in m lookups and no products; without, by m products, filling no row."""
+        in m lookups and no products; without, by m products, filling no row.
+        A column that fails is not cached."""
+        col = self._columns[j]
+        if col is not None:
+            return col
         if self._generators is None:
             b = self.elements[j]
             try:
-                return [self._index[self._mul_fn(x, b)] for x in self.elements]
+                col = [self._index[self._mul_fn(x, b)] for x in self.elements]
             except KeyError as exc:
                 raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
-        order, gen, parent = self._left_factor_tree()
-        rows = self._rows
-        col = [j] * len(order)
-        for x in itertools.islice(order, 1, None):
-            col[x] = rows[gen[x]][col[parent[x]]]
+        else:
+            order, gen, parent = self._left_factor_tree()
+            rows = self._rows
+            col = [j] * len(order)
+            for x in itertools.islice(order, 1, None):
+                col[x] = rows[gen[x]][col[parent[x]]]
+        self._columns[j] = col
         return col
 
     def mul_idx(self, i, j):
@@ -168,19 +186,19 @@ class FiniteMonoid:
         return self.elements[self.mul_idx(self.index_of(x), self.index_of(y))]
 
     def right_ideal_idx(self, i):
-        """Indices of a*S for a = elements[i]."""
+        """a*S for a = elements[i], as a cached int whose bit x is set iff
+        elements[x] is in the ideal."""
         ideal = self._right_ideals.get(i)
         if ideal is None:
-            ideal = frozenset(self.row(i))
-            self._right_ideals[i] = ideal
+            ideal = self._right_ideals[i] = _mask(self.row(i))
         return ideal
 
     def left_ideal_idx(self, j):
-        """Indices of S*a for a = elements[j]."""
+        """S*a for a = elements[j], as a cached bitmask like
+        `right_ideal_idx`."""
         ideal = self._left_ideals.get(j)
         if ideal is None:
-            ideal = frozenset(self.column(j))
-            self._left_ideals[j] = ideal
+            ideal = self._left_ideals[j] = _mask(self.column(j))
         return ideal
 
     def idempotent_idxs(self):
@@ -265,11 +283,6 @@ class RightCongruence:
     @property
     def num_classes(self):
         return len(self.eqrel.classes)
-
-    def subset_of(self, other) -> bool:
-        if self.base is not other.base:
-            raise ValueError("congruences live on different monoids")
-        return self.eqrel.subset_of(other.eqrel)
 
     def __eq__(self, other):
         return (
@@ -420,23 +433,23 @@ def kappa(S: FiniteMonoid, s) -> RightCongruence:
 
 def subact_generators(S: FiniteMonoid, subset):
     """A minimal generating set for a right subact: one representative from
-    each maximal divisibility class."""
+    each maximal divisibility class.  Ideals are bitmasks, so x is properly
+    inside y iff x & y == x and x != y."""
     idxs = sorted({S.index_of(x) for x in subset})
-    idx_set = set(idxs)
-    for i in idxs:
-        if not S.right_ideal_idx(i) <= idx_set:
-            raise ValueError("subset is not closed under right multiplication")
+    subset_mask = _mask(idxs)
     ideals = {i: S.right_ideal_idx(i) for i in idxs}
+    if any(ideal & ~subset_mask for ideal in ideals.values()):
+        raise ValueError("subset is not closed under right multiplication")
     maximal = [
-        i for i in idxs
-        if not any(ideals[i] < ideals[j] for j in idxs)
+        i for i, x in ideals.items()
+        if not any(x & y == x and x != y for y in ideals.values())
     ]
     reps = {}
     for i in maximal:
         reps.setdefault(ideals[i], i)
     chosen = sorted(reps.values())
-    covered = set()
+    covered = 0
     for i in chosen:
         covered |= ideals[i]
-    assert covered == idx_set, "representatives fail to regenerate the subact"
+    assert covered == subset_mask, "representatives fail to regenerate the subact"
     return [S.elements[i] for i in chosen]

@@ -73,49 +73,8 @@ class EqRel:
             groups.setdefault(find(parent, x), []).append(x)
         return cls(groups.values())
 
-    @property
-    def carrier(self):
-        return frozenset(self._class_index)
-
-    def class_of(self, x):
-        return self.classes[self._class_index[x]]
-
     def related(self, x, y):
         return self._class_index[x] == self._class_index[y]
-
-    def pairs(self):
-        """All ordered related pairs, diagonal included."""
-        out = set()
-        for cls in self.classes:
-            for x in cls:
-                for y in cls:
-                    out.add((x, y))
-        return out
-
-    def subset_of(self, other):
-        """Relation containment: every pair related here is related in `other`."""
-        if not self.carrier <= other.carrier:
-            return False
-        for cls in self.classes:
-            it = iter(cls)
-            first = other._class_index[next(it)]
-            if any(other._class_index[x] != first for x in it):
-                return False
-        return True
-
-    def join(self, other):
-        """Smallest equivalence on the union of carriers containing both."""
-        carrier = self.carrier | other.carrier
-        pairs = []
-        for rel in (self, other):
-            for cls in rel.classes:
-                pairs.extend(zip(cls, cls[1:]))
-        return EqRel.from_pairs(carrier, pairs)
-
-    def restrict(self, subset):
-        subset = set(subset)
-        kept = [tuple(x for x in cls if x in subset) for cls in self.classes]
-        return EqRel([c for c in kept if c])
 
     def __eq__(self, other):
         return isinstance(other, EqRel) and self.classes == other.classes
@@ -189,28 +148,8 @@ class PartialMap:
             tuple([None if v is None else theirs[v - 1] for v in self.images])
         )
 
-    def dom(self):
-        return frozenset(x for x in range(1, self.n + 1) if self.images[x - 1] is not None)
-
     def im(self):
         return frozenset(v for v in self.images if v is not None)
-
-    def ker(self):
-        """Fibers over the domain, as an equivalence relation on dom."""
-        fibers = {}
-        for x in range(1, self.n + 1):
-            v = self.images[x - 1]
-            if v is not None:
-                fibers.setdefault(v, []).append(x)
-        return EqRel(fibers.values())
-
-    def kerhat(self):
-        """ker together with all undefined points merged into one class."""
-        classes = list(self.ker().classes)
-        undef = [x for x in range(1, self.n + 1) if self.images[x - 1] is None]
-        if undef:
-            classes.append(tuple(undef))
-        return EqRel(classes)
 
     @property
     def is_total(self):
@@ -350,37 +289,6 @@ class Partition:
         object.__setattr__(result, "n", n)
         object.__setattr__(result, "blocks", tuple(blocks))
         return result
-
-    def _split(self, block):
-        upper = tuple(p for p in block if p <= self.n)
-        lower = tuple(p - self.n for p in block if p > self.n)
-        return upper, lower
-
-    def dom(self):
-        out = set()
-        for block in self.blocks:
-            upper, lower = self._split(block)
-            if upper and lower:
-                out.update(upper)
-        return frozenset(out)
-
-    def ker(self):
-        """The induced partition of the upper row."""
-        classes = []
-        for block in self.blocks:
-            upper, _ = self._split(block)
-            if upper:
-                classes.append(upper)
-        return EqRel(classes)
-
-    def upper_blocks(self):
-        """Blocks lying entirely in the upper row."""
-        out = set()
-        for block in self.blocks:
-            upper, lower = self._split(block)
-            if upper and not lower:
-                out.add(frozenset(upper))
-        return frozenset(out)
 
     def __eq__(self, other):
         return (

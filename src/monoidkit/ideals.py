@@ -153,8 +153,8 @@ def meet(kind, side, a, b) -> MeetResult:
 def verify_meet(S: FiniteMonoid, a, b, result: MeetResult, side="R") -> bool:
     """Brute-force check that the meet result is exact within S.
 
-    Enumerates both principal ideals, intersects them, and compares with the
-    generator's principal ideal (or with emptiness).
+    Intersects both principal ideals, as `FiniteMonoid` bitmasks, and
+    compares with the generator's principal ideal (or with emptiness).
     """
     ia, ib = S.index_of(a), S.index_of(b)
     if side == "R":

@@ -1,11 +1,14 @@
 """Divisibility preorders, the natural order on idempotents, and regularity.
 
-`leq_R` / `leq_L` evaluate the closed-form characterizations per kind
-(domain/kernel containment for maps, kernel/upper-block containment for
-partitions); `leq_oracle` answers the same question by exhaustive multiplier
-search over an enumerated monoid and returns the witness it finds.  For
-partitions the left side, preorder and meet alike, is the right side
-transported through the row-swapping anti-involution `star`.
+`leq_R` reads a ≤_R b in one pass over both elements: for maps, b's image
+(None included) must determine a's, and no point may be defined under a but
+not under b; for partitions, the upper part of every mixed block of b must
+lie in one block of a, and every upper-only block of b must be one of a's.
+`leq_L` is image containment for maps.  For partitions the left side,
+preorder and meet alike, is the right side transported through the
+row-swapping anti-involution `star`.  `leq_oracle` answers the same
+question by exhaustive multiplier search over an enumerated monoid and
+returns the witness it finds.
 """
 
 from __future__ import annotations
@@ -32,8 +35,39 @@ def leq_R(kind, a, b) -> bool:
     """a is a right multiple of b."""
     _check_pair(kind, a, b)
     if kind == "P":
-        return b.ker().subset_of(a.ker()) and b.upper_blocks() <= a.upper_blocks()
-    return a.dom() <= b.dom() and b.kerhat().subset_of(a.kerhat())
+        return _leq_R_partition(a, b)
+    image_of = {}
+    for u, v in zip(a.images, b.images):
+        if (v is None and u is not None) or image_of.setdefault(v, u) != u:
+            return False
+    return True
+
+
+def _leq_R_partition(a, b):
+    """Blocks are ascending, so a block's upper points come first and a
+    block is upper-only iff its last point is."""
+    n = a.n
+    label = [0] * (n + 1)
+    upper_only = set()
+    for k, block in enumerate(a.blocks):
+        if block[-1] <= n:
+            upper_only.add(block)
+        for p in block:
+            if p > n:
+                break
+            label[p] = k
+    for block in b.blocks:
+        if block[-1] <= n:
+            if block not in upper_only:
+                return False
+        elif block[0] <= n:
+            k = label[block[0]]
+            for p in block:
+                if p > n:
+                    break
+                if label[p] != k:
+                    return False
+    return True
 
 
 def leq_L(kind, a, b) -> bool:

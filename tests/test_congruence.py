@@ -14,8 +14,10 @@ from monoidkit.congruence import (
     y_sequence,
 )
 from monoidkit.elements import EqRel, PartialMap, Partition, find, generators
-from monoidkit.order import leq_oracle
+from monoidkit.order import generalized_inverses, leq_oracle
 from monoidkit.verify import cached_monoid, delta
+
+from kernel_oracle import class_of, congruence_subset_of
 
 
 def pm(*images):
@@ -35,8 +37,9 @@ def test_finite_monoid_rejects_non_closed_list():
     S = FiniteMonoid([ID2, SWAP, CONST1])
     with pytest.raises(ValueError):
         S.mul(CONST1, SWAP)  # const2 is missing from the list
-    with pytest.raises(ValueError, match="not closed"):
-        S.column(S.index_of(SWAP))  # the column meets const1 * swap too
+    for _ in range(2):  # a failed column is not cached
+        with pytest.raises(ValueError, match="not closed"):
+            S.column(S.index_of(SWAP))  # the column meets const1 * swap too
 
 
 def test_finite_monoid_rejects_non_identity_head():
@@ -79,6 +82,45 @@ def test_composed_rows_and_tree_columns_match_products(build):
     m = len(S)
     assert [S.column(j) for j in range(m)] == [direct.column(j) for j in range(m)]
     assert [S.row(i) for i in range(m)] == [direct.row(i) for i in range(m)]
+
+
+def _members(mask):
+    """The indices whose bits are set in an ideal bitmask."""
+    return {x for x in range(mask.bit_length()) if mask >> x & 1}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteMonoid.full("T", 3),
+        lambda: FiniteMonoid.full("PT", 3),
+        lambda: FiniteMonoid.full("I", 3),
+        lambda: FiniteMonoid.full("P", 2),
+        lambda: FiniteMonoid.full("T", 3).opposite(),
+    ],
+    ids=["T3", "PT3", "I3", "P2", "T3-opposite"],
+)
+def test_ideal_masks_decode_to_rows_and_columns(build):
+    S = build()
+    direct = FiniteMonoid(S.elements, mul=S._mul_fn, check=False)
+    for i in range(len(S)):
+        assert _members(S.right_ideal_idx(i)) == set(S.row(i))
+        assert _members(S.left_ideal_idx(i)) == set(direct.column(i))
+        assert S.right_ideal_idx(i) is S.right_ideal_idx(i)
+
+
+def test_columns_are_cached_and_left_unmodified():
+    S = FiniteMonoid.full("T", 3)
+    direct = FiniteMonoid(S.elements, check=False)
+    m = len(S)
+    assert S.column(5) is S.column(5)
+    assert direct.column(5) is direct.column(5)
+    for a, b in itertools.product(S.elements, repeat=2):
+        leq_oracle(S, a, b, "L")
+    for j, a in enumerate(S.elements):
+        generalized_inverses(S, a)
+        S.left_ideal_idx(j)
+    assert [S.column(j) for j in range(m)] == [direct.column(j) for j in range(m)]
 
 
 def test_generators_missing_an_element_refused():
@@ -173,7 +215,7 @@ def test_rc_close_monotone_in_generators(T2, PT2):
         pool = [(rng.choice(S.elements), rng.choice(S.elements)) for _ in range(4)]
         small = rc_close(S, pool[:2])
         big = rc_close(S, pool)
-        assert small.subset_of(big)
+        assert congruence_subset_of(small, big)
 
 
 def _rc_close_by_worklist(S, pairs):
@@ -347,7 +389,7 @@ def _is_right_congruence_by_multipliers(S, eqrel):
     is_right_congruence computed it before it compared labelled rows."""
     for cls in eqrel.classes:
         for s in range(len(S)):
-            images = {eqrel.class_of(S.mul_idx(u, s)) for u in cls}
+            images = {class_of(eqrel, S.mul_idx(u, s)) for u in cls}
             if len(images) > 1:
                 return False
     return True
@@ -431,7 +473,7 @@ def test_kappa_equals_closure_pt2(PT2):
 
 def test_subact_generators_principal(PT2):
     a = pm(1, None)
-    ideal = [PT2.elements[i] for i in PT2.right_ideal_idx(PT2.index_of(a))]
+    ideal = [PT2.elements[i] for i in _members(PT2.right_ideal_idx(PT2.index_of(a)))]
     gens = subact_generators(PT2, ideal)
     assert len(gens) == 1
     assert PT2.right_ideal_idx(PT2.index_of(gens[0])) == PT2.right_ideal_idx(PT2.index_of(a))
@@ -445,8 +487,45 @@ def test_subact_generators_minimal_ideal(PT2):
 def test_subact_generators_two_incomparable(PT2):
     a, b = pm(1, None), pm(None, 2)
     ideal = PT2.right_ideal_idx(PT2.index_of(a)) | PT2.right_ideal_idx(PT2.index_of(b))
-    gens = subact_generators(PT2, [PT2.elements[i] for i in ideal])
+    gens = subact_generators(PT2, [PT2.elements[i] for i in _members(ideal)])
     assert len(gens) == 2
+
+
+def _subact_generators_by_frozensets(S, subset):
+    """subact_generators as it was with frozenset ideals, where < is proper
+    inclusion."""
+    idxs = sorted({S.index_of(x) for x in subset})
+    idx_set = set(idxs)
+    ideals = {i: frozenset(S.row(i)) for i in idxs}
+    if any(not ideals[i] <= idx_set for i in idxs):
+        raise ValueError("subset is not closed under right multiplication")
+    maximal = [i for i in idxs if not any(ideals[i] < ideals[j] for j in idxs)]
+    reps = {}
+    for i in maximal:
+        reps.setdefault(ideals[i], i)
+    chosen = sorted(reps.values())
+    assert set().union(*(ideals[i] for i in chosen)) == idx_set
+    return [S.elements[i] for i in chosen]
+
+
+@pytest.mark.parametrize("name", ["PT2", "T3"])
+def test_subact_generators_match_frozenset_oracle(name, request):
+    S = request.getfixturevalue(name)
+    m = len(S)
+    numeric_order_misleads = False
+    for i, j in itertools.product(range(m), repeat=2):
+        if j < i:
+            continue
+        x, y = S.right_ideal_idx(i), S.right_ideal_idx(j)
+        # Masks compare as numbers too, and that order is not inclusion.
+        numeric_order_misleads |= (x < y) != (x & y == x and x != y)
+        subset = [S.elements[k] for k in _members(x | y)]
+        assert subact_generators(S, subset) == _subact_generators_by_frozensets(S, subset)
+    assert numeric_order_misleads
+    not_closed = [S.elements[0], S.elements[-1]]
+    for fn in (subact_generators, _subact_generators_by_frozensets):
+        with pytest.raises(ValueError):
+            fn(S, not_closed)
 
 
 def test_subact_generators_rejects_non_subact(PT2):

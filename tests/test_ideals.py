@@ -15,6 +15,8 @@ from monoidkit.ideals import (
 )
 from monoidkit.verify import cached_monoid
 
+from kernel_oracle import dom, join, ker, restrict, upper_blocks
+
 
 def pm(*images):
     return PartialMap(images)
@@ -40,7 +42,7 @@ def test_meet_right_pt_same_element(PT2):
     a = pm(1, 1)
     result = meet_right_pt(a, a)
     gen = result.generator
-    assert gen.dom() == a.dom() and gen.ker() == a.ker()
+    assert dom(gen) == dom(a) and ker(gen) == ker(a)
     assert PT2.right_ideal_idx(PT2.index_of(gen)) == PT2.right_ideal_idx(PT2.index_of(a))
 
 
@@ -59,8 +61,8 @@ def test_meet_right_preserves_kind():
 
 def _meet_right_pt_by_kernels(a, b):
     """The joined-kernel construction that the union-find replaced."""
-    joined = a.ker().join(b.ker())
-    inter = a.dom() & b.dom()
+    joined = join(ker(a), ker(b))
+    inter = dom(a) & dom(b)
     images = [None] * a.n
     for cls in joined.classes:
         if all(x in inter for x in cls):
@@ -151,8 +153,8 @@ def _meet_right_partition_by_kernels(a, b):
     """The pairwise upper-block and kernel-join construction that the
     min-root union-find replaced."""
     n = a.n
-    upper_a = a.upper_blocks()
-    upper_b = b.upper_blocks()
+    upper_a = upper_blocks(a)
+    upper_b = upper_blocks(b)
     for blk_a in upper_a:
         for blk_b in upper_b:
             if blk_a != blk_b and blk_a & blk_b:
@@ -161,13 +163,13 @@ def _meet_right_partition_by_kernels(a, b):
     anchored = set().union(*upper) if upper else set()
     # Every kernel class of either factor that meets the anchored region must
     # sit inside a single combined upper block.
-    for rel in (a.ker(), b.ker()):
+    for rel in (ker(a), ker(b)):
         for cls in rel.classes:
             pts = set(cls)
             if pts & anchored and not any(pts <= blk for blk in upper):
                 return MeetResult.nothing()
     rest = [x for x in range(1, n + 1) if x not in anchored]
-    gamma = a.ker().restrict(rest).join(b.ker().restrict(rest))
+    gamma = join(restrict(ker(a), rest), restrict(ker(b), rest))
     blocks = [sorted(blk) for blk in upper]
     used_lower = set()
     for cls in gamma.classes:

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -13,6 +12,8 @@ from monoidkit.order import (
     leq_oracle,
     natural_leq,
 )
+
+from kernel_oracle import dom, ker, kerhat, leq_R_by_kernels, pairs
 
 
 def pm(*images):
@@ -72,21 +73,27 @@ def test_oracle_on_foreign_element(T2):
 CARRIERS = (("PT", 3), ("T", 3), ("I", 3), ("P", 2))
 
 
+def _assert_preorders_agree(S, kind, a, b):
+    right = leq_R(kind, a, b)
+    assert right == leq_R_by_kernels(kind, a, b) == leq_oracle(S, a, b, "R").holds, (a, b)
+    left = leq_L(kind, a, b)
+    assert left == leq_oracle(S, a, b, "L").holds, (a, b)
+    if kind == "P":
+        assert left == leq_R_by_kernels("P", a.star(), b.star()), (a, b)
+
+
 def test_characterization_matches_oracle_exhaustively(PT3, T3, I3, P2):
     monoids = {"PT": PT3, "T": T3, "I": I3, "P": P2}
     for kind, _ in CARRIERS:
         S = monoids[kind]
         for a, b in itertools.product(S.elements, repeat=2):
-            assert leq_R(kind, a, b) == leq_oracle(S, a, b, "R").holds
-            assert leq_L(kind, a, b) == leq_oracle(S, a, b, "L").holds
+            _assert_preorders_agree(S, kind, a, b)
 
 
-def test_characterization_matches_oracle_sampled_p3(P3):
-    rng = random.Random(3)
-    for _ in range(200):
-        a, b = rng.choice(P3.elements), rng.choice(P3.elements)
-        assert leq_R("P", a, b) == leq_oracle(P3, a, b, "R").holds
-        assert leq_L("P", a, b) == leq_oracle(P3, a, b, "L").holds
+def test_characterization_matches_oracle_exhaustively_p3(P3):
+    # 203^2 = 41,209 pairs.
+    for a, b in itertools.product(P3.elements, repeat=2):
+        _assert_preorders_agree(P3, "P", a, b)
 
 
 def test_natural_leq_examples():
@@ -133,13 +140,13 @@ def test_kernel_containment_equals_class_refinement():
     # smaller-domain map being a union of the other's classes.
     pt2 = enumerate_elements("PT", 2)
     for mu, nu in itertools.product(pt2, repeat=2):
-        if not nu.dom() <= mu.dom():
+        if not dom(nu) <= dom(mu):
             continue
-        containment = mu.kerhat().pairs() <= nu.kerhat().pairs()
-        mu_classes = list(mu.ker().classes)
+        containment = pairs(kerhat(mu)) <= pairs(kerhat(nu))
+        mu_classes = list(ker(mu).classes)
         union_form = all(
             set(cls) == set().union(*(set(c) for c in mu_classes if set(c) & set(cls)))
-            for cls in nu.ker().classes
+            for cls in ker(nu).classes
         )
         assert containment == union_form
 

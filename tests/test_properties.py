@@ -1,8 +1,10 @@
-"""Property tests for the shift monoid's product rule and its fast paths, and
-for the element parsers.
+"""Property tests for the shift monoid's product rule and its fast paths, for
+the element parsers, and for the preorders and meets past enumeration.
 
 Examples are drawn deterministically, so every run checks the same cases.
 """
+
+import itertools
 
 import pytest
 
@@ -10,8 +12,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from monoidkit.elements import PartialMap, Partition, is_kind  # noqa: E402
+from monoidkit.ideals import meet  # noqa: E402
+from monoidkit.order import leq_L, leq_R  # noqa: E402
 from monoidkit.pmonoid import NF, nf_mul, nf_window  # noqa: E402
 from monoidkit.textio import ParseError, format_element, parse_element  # noqa: E402
+
+from kernel_oracle import leq_R_by_kernels  # noqa: E402
 
 COORD = 20
 HALF = 4 * COORD  # products puncture up to 2 * COORD and shift up to 2 * COORD
@@ -105,3 +111,97 @@ def test_text_parses_or_fails_in_range(kind, text):
         parse_element(kind, text)
     except ParseError as exc:
         assert 0 <= exc.position <= len(text), (exc.position, text)
+
+
+# --- preorders and meets past enumeration -----------------------------------------
+
+
+def _restricted_growth(raw):
+    """Clamp each label to at most one more than every label before it."""
+    labels, top = [], -1
+    for x in raw:
+        top = max(top, min(x, top + 1))
+        labels.append(min(x, top))
+    return labels
+
+
+def _large_maps(n):
+    return st.lists(st.one_of(st.none(), st.integers(1, n)), min_size=n, max_size=n).map(PartialMap)
+
+
+def _large_partitions(n):
+    """Restricted-growth strings over the 2n points with at most k blocks, for a
+    drawn k, so both few and many blocks occur."""
+    return st.integers(1, 2 * n).flatmap(
+        lambda k: st.lists(st.integers(0, k - 1), min_size=2 * n, max_size=2 * n)
+    ).map(lambda raw: _partition(n, _restricted_growth(raw)))
+
+
+def _above_R(c, keep, split):
+    """An element b with c <=_R b: every kernel class of c split in two by
+    the `split` coins, each part sent to its own lower point (or image),
+    except that the `keep` coins may leave an upper-only block of c whole, or
+    an undefined point of c undefined."""
+    n = c.n
+    if isinstance(c, PartialMap):
+        images = {}
+        for x, v in enumerate(c.images):
+            if v is not None or not keep[x]:
+                images.setdefault((v, split[x]), len(images) + 1)
+        return PartialMap([images.get((v, split[x])) for x, v in enumerate(c.images)])
+    blocks, lower = [], 1
+    for k, block in enumerate(c.blocks):
+        upper = [p for p in block if p <= n]
+        if not upper:
+            continue
+        if block[-1] <= n and keep[k]:
+            blocks.append(upper)
+            continue
+        for part in ([p for p in upper if split[p - 1]], [p for p in upper if not split[p - 1]]):
+            if part:
+                blocks.append(part + [-lower])
+                lower += 1
+    blocks.extend([-y] for y in range(lower, n + 1))
+    return Partition(n, blocks)
+
+
+def _above_L(c, keep, split):
+    """An element b with c <=_L b: for maps, c with undefined points given
+    images (so im b contains im c); for partitions, through `star`."""
+    if isinstance(c, Partition):
+        return _above_R(c.star(), keep, split).star()
+    return PartialMap([v if v is not None or keep[x] else 1 + x for x, v in enumerate(c.images)])
+
+
+def _leq_L_by_kernels(kind, a, b):
+    if kind == "P":
+        return leq_R_by_kernels("P", a.star(), b.star())
+    return a.im() <= b.im()
+
+
+@deterministic
+@given(st.data())
+def test_preorder_and_meet_laws_past_enumeration(data):
+    kind = data.draw(st.sampled_from(["PT", "P"]))
+    side = data.draw(st.sampled_from("RL"))
+    n = data.draw(st.integers(6, 20))
+    elements = _large_maps(n) if kind == "PT" else _large_partitions(n)
+    a, b, s = data.draw(elements), data.draw(elements), data.draw(elements)
+    coins = st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)
+    # Unsplit kernels make b R- or L-equivalent to c outside the kept points.
+    keep, split = data.draw(coins), data.draw(st.one_of(st.just([False] * 2 * n), coins))
+    if side == "R":
+        leq, by_kernels, above, c = leq_R, leq_R_by_kernels, _above_R, a * s
+    else:
+        leq, by_kernels, above, c = leq_L, _leq_L_by_kernels, _above_L, s * a
+    if data.draw(st.booleans()):
+        b = above(c, keep, split)
+    for x, y in itertools.permutations((a, b, c), 2):
+        assert leq(kind, x, y) == by_kernels(kind, x, y), (x, y)
+    assert leq(kind, c, a)
+    result = meet(kind, side, a, b)
+    if not result.empty:
+        g = result.generator
+        assert leq(kind, g, a) and leq(kind, g, b)
+    if leq(kind, c, b):
+        assert not result.empty and leq(kind, c, result.generator)
