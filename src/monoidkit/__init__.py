@@ -3,7 +3,6 @@ monoids, with oracle-verified ideal meets, congruence machinery, and the
 inverse monoid of punctured integer shift maps."""
 
 from .elements import (
-    EqRel,
     PartialMap,
     Partition,
     element_count,

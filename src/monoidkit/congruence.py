@@ -24,7 +24,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .elements import EqRel, enumerate_elements, find, generators, identity_of, DEFAULT_ENUM_CAP
+from .elements import enumerate_elements, find, generators, identity_of, min_root_join, DEFAULT_ENUM_CAP
 
 
 def _mask(indices):
@@ -247,27 +247,38 @@ class YSequence:
         return all((c, d) in allowed for c, d, _ in self.steps)
 
 
+def _classes(labels):
+    """The classes of a labelling of 0..m-1, each ascending, in order of their
+    least member."""
+    groups = {}
+    for x, r in enumerate(labels):
+        groups.setdefault(r, []).append(x)
+    return groups.values()
+
+
 class RightCongruence:
     """An equivalence on a finite monoid's element indices, right compatible.
 
-    Congruences produced by `rc_close` carry a merge trace from which
-    witnessing sequences are rebuilt; definitional congruences (annihilators,
-    power orbits) carry none.
+    `eqrel` is a tuple whose entry x is the least index related to x, so two
+    congruences on one monoid are equal iff their tuples are.  Congruences
+    produced by `rc_close` carry a merge trace from which witnessing
+    sequences are rebuilt; definitional congruences (annihilators, power
+    orbits) carry none.
     """
 
     def __init__(self, base, eqrel, pairs=None, edges=None, adjacency=None):
         self.base = base
-        self.eqrel = eqrel
+        self.eqrel = tuple(eqrel)
         self.pairs = pairs
         self._edges = edges
         self._adjacency = adjacency
 
     def related(self, a, b) -> bool:
-        return self.eqrel.related(self.base.index_of(a), self.base.index_of(b))
+        return self.eqrel[self.base.index_of(a)] == self.eqrel[self.base.index_of(b)]
 
     def classes_elements(self):
         els = self.base.elements
-        return tuple(tuple(els[i] for i in cls) for cls in self.eqrel.classes)
+        return tuple(tuple(els[i] for i in cls) for cls in _classes(self.eqrel))
 
     @property
     def trace(self):
@@ -282,7 +293,7 @@ class RightCongruence:
 
     @property
     def num_classes(self):
-        return len(self.eqrel.classes)
+        return len(set(self.eqrel))
 
     def __eq__(self, other):
         return (
@@ -320,17 +331,14 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
         v = S.mul_idx(d, t)
         ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
-            parent[ru] = rv
+            parent[max(ru, rv)] = min(ru, rv)
             edge_id = len(edges)
             edges.append((u, v, p, t))
             adjacency.setdefault(u, []).append(edge_id)
             adjacency.setdefault(v, []).append(edge_id)
-    groups = {}
-    for x in range(m):
-        groups.setdefault(find(parent, x), []).append(x)
-    eqrel = EqRel(groups.values())
+    labels = [find(parent, x) for x in range(m)]
     gen_pairs = tuple((S.elements[a], S.elements[b]) for a, b in pair_idx)
-    return RightCongruence(S, eqrel, gen_pairs, edges, adjacency)
+    return RightCongruence(S, labels, gen_pairs, edges, adjacency)
 
 
 def y_sequence(rho: RightCongruence, a, b):
@@ -342,7 +350,7 @@ def y_sequence(rho: RightCongruence, a, b):
         raise ValueError("this congruence carries no merge trace")
     S = rho.base
     ia, ib = S.index_of(a), S.index_of(b)
-    if not rho.eqrel.related(ia, ib):
+    if rho.eqrel[ia] != rho.eqrel[ib]:
         return None
     if ia == ib:
         return YSequence(a, b, ())
@@ -379,12 +387,13 @@ def y_sequence(rho: RightCongruence, a, b):
     return YSequence(a, b, tuple(steps))
 
 
-def is_right_congruence(S: FiniteMonoid, eqrel: EqRel) -> bool:
-    """Full compatibility check: every related pair stays related under every
-    right multiplier, so the members of a class have equal rows once each
-    product is replaced by the index of its class."""
-    label = eqrel._class_index.__getitem__
-    for cls in eqrel.classes:
+def is_right_congruence(S: FiniteMonoid, labels) -> bool:
+    """Full compatibility check on a labelling of the element indices: every
+    related pair stays related under every right multiplier, so the members
+    of a class have equal rows once each product is replaced by its label.
+    Every row is read."""
+    label = list(labels).__getitem__
+    for cls in _classes(labels):
         first = list(map(label, S.row(cls[0])))
         if any(list(map(label, S.row(u))) != first for u in cls[1:]):
             return False
@@ -397,11 +406,11 @@ def annihilator(S: FiniteMonoid, rho: RightCongruence, a) -> RightCongruence:
     It is right compatible by construction: a*u rho a*v gives
     a*u*s rho a*v*s, so only the row of a is read.
     """
-    groups = {}
-    label = rho.eqrel._class_index
-    for u, au in enumerate(S.row(S.index_of(a))):
-        groups.setdefault(label[au], []).append(u)
-    return RightCongruence(S, EqRel(groups.values()))
+    label = rho.eqrel
+    first = {}
+    return RightCongruence(
+        S, [first.setdefault(label[au], u) for u, au in enumerate(S.row(S.index_of(a)))]
+    )
 
 
 def kappa(S: FiniteMonoid, s) -> RightCongruence:
@@ -423,12 +432,12 @@ def kappa(S: FiniteMonoid, s) -> RightCongruence:
     # Orbits that share a member are linked through that member's first owner.
     owner = {}
     links = [(u, owner.setdefault(w, u)) for u in range(len(S)) for w in orbits[u]]
-    eqrel = EqRel.from_pairs(range(len(S)), links)
-    for cls in eqrel.classes:
+    labels = min_root_join(len(S), links)
+    for cls in _classes(labels):
         for u in cls:
             for v in cls:
                 assert orbits[u] & orbits[v], "power-orbit relation not transitive"
-    return RightCongruence(S, eqrel)
+    return RightCongruence(S, labels)
 
 
 def subact_generators(S: FiniteMonoid, subset):

@@ -1,5 +1,5 @@
 """Exact arithmetic on finite ground sets: partial maps, diagram partitions,
-equivalence relations, enumeration, and the standard embeddings between kinds.
+enumeration, and the standard embeddings between kinds.
 
 Points are 1-based.  A partition diagram on {1..n} has a second, primed row
 {1'..n'}; internally the primed point x' is stored as n+x so that union-find
@@ -17,73 +17,24 @@ DEFAULT_ENUM_CAP = 1_000_000
 
 
 def find(parent, x):
-    """Root of x in a union-find forest stored as a parent list or dict,
-    halving the path on the way up."""
+    """Root of x in a union-find forest stored as a parent list, halving the
+    path on the way up."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
 
 
-class EqRel:
-    """An equivalence relation on a finite carrier, stored as sorted classes.
-
-    Every carrier point appears in exactly one class (singletons are explicit),
-    so two relations are equal iff their canonical class tuples are equal.
-    """
-
-    __slots__ = ("classes", "_class_index")
-
-    def __init__(self, classes):
-        canon = []
-        for cls in classes:
-            pts = tuple(sorted(cls))
-            if not pts:
-                raise ValueError("empty class in equivalence relation")
-            if len(set(pts)) != len(pts):
-                raise ValueError("repeated point inside a class")
-            canon.append(pts)
-        canon.sort()
-        index = {}
-        for i, cls in enumerate(canon):
-            for x in cls:
-                if x in index:
-                    raise ValueError(f"point {x} appears in two classes")
-                index[x] = i
-        self.classes = tuple(canon)
-        self._class_index = index
-
-    @classmethod
-    def discrete(cls, carrier):
-        return cls([(x,) for x in carrier])
-
-    @classmethod
-    def from_pairs(cls, carrier, pairs):
-        """Smallest equivalence on `carrier` containing all given pairs."""
-        carrier = sorted(set(carrier))
-        parent = {x: x for x in carrier}
-        for a, b in pairs:
-            if a not in parent or b not in parent:
-                raise ValueError(f"pair ({a},{b}) not inside carrier")
-            ra, rb = find(parent, a), find(parent, b)
-            if ra != rb:
-                parent[ra] = rb
-        groups = {}
-        for x in carrier:
-            groups.setdefault(find(parent, x), []).append(x)
-        return cls(groups.values())
-
-    def related(self, x, y):
-        return self._class_index[x] == self._class_index[y]
-
-    def __eq__(self, other):
-        return isinstance(other, EqRel) and self.classes == other.classes
-
-    def __hash__(self):
-        return hash(self.classes)
-
-    def __repr__(self):
-        return "EqRel(%s)" % (", ".join("{%s}" % " ".join(map(str, c)) for c in self.classes) or "empty")
+def min_root_join(n, links):
+    """Label each point 0..n-1 by the least point of its class in the
+    equivalence the linked pairs generate.  The union-find hangs the larger
+    root below the smaller, so every root is its class minimum."""
+    parent = list(range(n))
+    for x, y in links:
+        rx, ry = find(parent, x), find(parent, y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(parent, x) for x in range(n)]
 
 
 class PartialMap:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import FiniteMonoid
-from .elements import PartialMap, Partition, find, require_kind
+from .elements import PartialMap, Partition, min_root_join, require_kind
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,6 @@ def _check_sizes(a, b):
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
 
 
-def _min_root_join(n, links):
-    """The root of each point 0..n-1 once the linked pairs are joined; the
-    larger root always hangs below the smaller, so roots are class minima."""
-    parent = list(range(n))
-    for x, y in links:
-        rx, ry = find(parent, x), find(parent, y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    return [find(parent, x) for x in range(n)]
-
-
 def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
     """Generator of aS ∩ bS for partial maps (total and injective included).
 
@@ -72,7 +61,7 @@ def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
                     if y != x:
                         yield x, y
 
-    roots = _min_root_join(a.n, links())
+    roots = min_root_join(a.n, links())
     dropped = {r for r, u, v in zip(roots, a.images, b.images) if u is None or v is None}
     return MeetResult.found(
         PartialMap._from_internal(tuple([None if r in dropped else r + 1 for r in roots]))
@@ -119,7 +108,7 @@ def meet_right_partition(a: Partition, b: Partition) -> MeetResult:
     both = a.blocks + b.blocks
     # Blocks are ascending: a block with upper points starts with one.
     links = ((p - 1, block[0] - 1) for block in both for p in block[1:] if p <= n)
-    roots = _min_root_join(n, links)
+    roots = min_root_join(n, links)
     classes = {}
     for x, r in enumerate(roots):
         classes.setdefault(r, []).append(x + 1)

@@ -123,8 +123,7 @@ def parse_partition(text: str) -> Partition:
                 break
         pos += 1
         blocks.append(block)
-    if not blocks:
-        raise ParseError("expected '{'", 0)
+    # Empty text has no blocks: the partition on no points.
     n = max_label
     for label in range(1, n + 1):
         for point, name in ((label, str(label)), (-label, f"{label}'")):

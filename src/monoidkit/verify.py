@@ -23,7 +23,7 @@ from .congruence import (
     kappa,
     rc_close,
 )
-from .elements import EqRel, embed, enumerate_elements
+from .elements import embed, enumerate_elements
 from .ideals import meet, verify_meet
 from .order import generalized_inverses, leq_L, leq_R, leq_oracle
 from .pmonoid import (
@@ -61,7 +61,7 @@ def cached_monoid(kind: str, n: int) -> FiniteMonoid:
 
 def delta(S: FiniteMonoid) -> RightCongruence:
     """The equality congruence on S."""
-    return RightCongruence(S, EqRel.discrete(range(len(S))))
+    return RightCongruence(S, range(len(S)))
 
 
 def _random_nf(rng, max_excluded, max_coord) -> NF:

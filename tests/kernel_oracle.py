@@ -2,24 +2,58 @@
 oracle for `monoidkit.order` and the meet constructions.
 
 Domains, kernels and upper blocks of maps and partitions are built here as
-frozensets and `EqRel`s, and `leq_R_by_kernels` is the old `leq_R`: kernel
-and domain (or upper-block) containment.  Only `EqRel.classes` is read, so
-these helpers rely on nothing but the relation's canonical classes.
+frozensets, and `leq_R_by_kernels` is the old `leq_R`: kernel and domain (or
+upper-block) containment.  An equivalence relation is held as the frozenset
+of its classes, each a frozenset, so the helpers read nothing but classes.
 """
 
-from monoidkit.elements import EqRel, PartialMap, Partition
+from monoidkit.elements import PartialMap, Partition
 from monoidkit.order import _check_pair
 
 
 # --- equivalence relations ------------------------------------------------------
 
 
+def rel(*classes):
+    """The relation whose classes are the given collections of points."""
+    return frozenset(frozenset(cls) for cls in classes)
+
+
+def from_labels(labels):
+    """The relation on 0..m-1 whose classes are the points sharing a label."""
+    groups = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    return rel(*groups.values())
+
+
+def component_labels(n, links):
+    """Each point 0..n-1 labelled by the least point of its component in the
+    graph of the links, found by breadth-first search from each unlabelled
+    point in ascending order."""
+    neighbours = [[] for _ in range(n)]
+    for x, y in links:
+        neighbours[x].append(y)
+        neighbours[y].append(x)
+    labels = [None] * n
+    for start in range(n):
+        if labels[start] is None:
+            labels[start] = start
+            queue = [start]
+            for x in queue:  # grows while it is walked
+                for y in neighbours[x]:
+                    if labels[y] is None:
+                        labels[y] = start
+                        queue.append(y)
+    return tuple(labels)
+
+
 def carrier(rel):
-    return frozenset(x for cls in rel.classes for x in cls)
+    return frozenset(x for cls in rel for x in cls)
 
 
 def class_of(rel, x):
-    for cls in rel.classes:
+    for cls in rel:
         if x in cls:
             return cls
     raise KeyError(x)
@@ -27,34 +61,37 @@ def class_of(rel, x):
 
 def pairs(rel):
     """All ordered related pairs, diagonal included."""
-    return {(x, y) for cls in rel.classes for x in cls for y in cls}
+    return {(x, y) for cls in rel for x in cls for y in cls}
 
 
 def subset_of(rel, other):
     """Relation containment: every pair related in `rel` is related in `other`."""
-    index = {x: k for k, cls in enumerate(other.classes) for x in cls}
+    index = {x: cls for cls in other for x in cls}
     if not carrier(rel) <= index.keys():
         return False
-    return all(len({index[x] for x in cls}) == 1 for cls in rel.classes)
+    return all(len({index[x] for x in cls}) == 1 for cls in rel)
 
 
 def join(rel, other):
-    """Smallest equivalence on the union of carriers containing both."""
-    links = [link for r in (rel, other) for cls in r.classes for link in zip(cls, cls[1:])]
-    return EqRel.from_pairs(carrier(rel) | carrier(other), links)
+    """Smallest equivalence on the union of carriers containing both: each
+    class in turn absorbs every class built so far that it meets."""
+    joined = []
+    for cls in (*rel, *other):
+        kept = [c for c in joined if not c & cls]
+        joined = kept + [cls.union(*(c for c in joined if c & cls))]
+    return frozenset(joined)
 
 
 def restrict(rel, subset):
-    subset = set(subset)
-    kept = [tuple(x for x in cls if x in subset) for cls in rel.classes]
-    return EqRel([c for c in kept if c])
+    subset = frozenset(subset)
+    return frozenset(cls & subset for cls in rel if cls & subset)
 
 
 def congruence_subset_of(rho, sigma):
     """Containment of two right congruences on the same monoid."""
     if rho.base is not sigma.base:
         raise ValueError("congruences live on different monoids")
-    return subset_of(rho.eqrel, sigma.eqrel)
+    return subset_of(rel(*rho.classes_elements()), rel(*sigma.classes_elements()))
 
 
 # --- maps and partitions ----------------------------------------------------------
@@ -88,17 +125,15 @@ def ker(a):
         for x, v in enumerate(a.images, start=1):
             if v is not None:
                 fibers.setdefault(v, []).append(x)
-        return EqRel(fibers.values())
-    return EqRel([upper for upper, _ in (split(a, block) for block in a.blocks) if upper])
+        return rel(*fibers.values())
+    return rel(*(upper for upper, _ in (split(a, block) for block in a.blocks) if upper))
 
 
 def kerhat(a: PartialMap):
     """ker together with all undefined points merged into one class."""
-    classes = list(ker(a).classes)
-    undef = [x for x, v in enumerate(a.images, start=1) if v is None]
-    if undef:
-        classes.append(tuple(undef))
-    return EqRel(classes)
+    fibers = ker(a)
+    undef = frozenset(x for x, v in enumerate(a.images, start=1) if v is None)
+    return fibers | {undef} if undef else fibers
 
 
 def upper_blocks(a: Partition):

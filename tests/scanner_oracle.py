@@ -4,7 +4,8 @@ oracle for `monoidkit.textio`.
 They differ from the current parsers in two known ways: `_Scanner.integer`
 steps over a sign at the end of the text, so an error there is reported one
 past the end, and `str.isdigit()` accepts non-ASCII digits, which `int()` then
-reads or rejects with a bare `ValueError`.
+reads or rejects with a bare `ValueError`.  Both read empty partition text as
+the partition on no points.
 """
 
 from monoidkit.elements import PartialMap, Partition
@@ -106,8 +107,6 @@ def parse_partition(text: str) -> Partition:
         sc.take("}")
         blocks.append(block)
     sc.expect_end()
-    if not blocks:
-        raise ParseError("expected '{'", 0)
     n = max_label
     for label in range(1, n + 1):
         for point, name in ((label, str(label)), (-label, f"{label}'")):

@@ -13,11 +13,11 @@ from monoidkit.congruence import (
     subact_generators,
     y_sequence,
 )
-from monoidkit.elements import EqRel, PartialMap, Partition, find, generators
+from monoidkit.elements import PartialMap, Partition, find, generators
 from monoidkit.order import generalized_inverses, leq_oracle
 from monoidkit.verify import cached_monoid, delta
 
-from kernel_oracle import class_of, congruence_subset_of
+from kernel_oracle import component_labels, congruence_subset_of, from_labels
 
 
 def pm(*images):
@@ -221,7 +221,7 @@ def test_rc_close_monotone_in_generators(T2, PT2):
 def _rc_close_by_worklist(S, pairs):
     """The closure as a BFS over (pair, multiplier) items, each item spawning
     (pair, t*s) for every s, as rc_close computed it before the direct sweep.
-    Returns the partition and the merge records in order."""
+    Returns the class-minimum labels and the merge records in order."""
     pair_idx = [(S.index_of(a), S.index_of(b)) for a, b in pairs]
     parent = list(range(len(S)))
     edges = []
@@ -239,10 +239,10 @@ def _rc_close_by_worklist(S, pairs):
             if (p, ts) not in seen:
                 seen.add((p, ts))
                 queue.append((p, ts))
-    eqrel = EqRel.from_pairs(range(len(S)), [(u, v) for u, v, _, _ in edges])
+    labels = component_labels(len(S), [(u, v) for u, v, _, _ in edges])
     els = S.elements
     trace = tuple((els[u], els[v], pairs[p], els[t]) for u, v, p, t in edges)
-    return eqrel, trace
+    return labels, trace
 
 
 @pytest.mark.parametrize("kind,n", [("T", 3), ("PT", 3), ("I", 3), ("P", 2)])
@@ -384,12 +384,12 @@ def test_annihilator_is_right_congruence(kind, n):
             assert is_right_congruence(S, annihilator(S, rho, a).eqrel), (rho, a)
 
 
-def _is_right_congruence_by_multipliers(S, eqrel):
+def _is_right_congruence_by_multipliers(S, labels):
     """The check as one image set per (class, multiplier), as
     is_right_congruence computed it before it compared labelled rows."""
-    for cls in eqrel.classes:
+    for cls in from_labels(labels):
         for s in range(len(S)):
-            images = {class_of(eqrel, S.mul_idx(u, s)) for u in cls}
+            images = {labels[S.mul_idx(u, s)] for u in cls}
             if len(images) > 1:
                 return False
     return True
@@ -410,16 +410,21 @@ def test_is_right_congruence_matches_multiplier_oracle(build):
     S = build()
     m = len(S)
     rng = random.Random(m)
-    relations = [delta(S).eqrel, EqRel([range(m)])]
+    relations = [delta(S).eqrel, (0,) * m]
     for _ in range(4):
         pairs = [(rng.choice(S.elements), rng.choice(S.elements)) for _ in range(rng.randint(1, 2))]
         rho = rc_close(S, pairs)
         relations += [rho.eqrel, annihilator(S, rho, rng.choice(S.elements)).eqrel]
     for _ in range(20):
         links = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(1, 3))]
-        relations.append(EqRel.from_pairs(range(m), links))
+        relations.append(component_labels(m, links))
+    # The same relations under labels that are not class minima.
+    names = list(range(m))
+    rng.shuffle(names)
+    relations += [[names[r] for r in labels] for labels in relations]
     verdicts = [is_right_congruence(S, r) for r in relations]
     assert verdicts == [_is_right_congruence_by_multipliers(S, r) for r in relations]
+    assert verdicts[: len(verdicts) // 2] == verdicts[len(verdicts) // 2:]
     assert True in verdicts and False in verdicts
 
 
@@ -452,7 +457,7 @@ def _kappa_by_orbit_pairs(S, s):
     pairs = [
         (u, v) for u in range(len(S)) for v in range(u + 1, len(S)) if orbits[u] & orbits[v]
     ]
-    return EqRel.from_pairs(range(len(S)), pairs)
+    return component_labels(len(S), pairs)
 
 
 @pytest.mark.parametrize("kind,n", [("T", 3), ("PT", 3), ("I", 3), ("P", 2)])
@@ -466,6 +471,35 @@ def test_kappa_equals_closure_pt2(PT2):
     one = PT2.elements[0]
     for s in PT2.elements:
         assert kappa(PT2, s).eqrel == rc_close(PT2, [(one, s)]).eqrel
+
+
+# --- one labelling across constructors ---------------------------------------------
+
+
+def test_constructors_agree_on_one_relation(T2, P2):
+    """Every constructor stores the class-minimum tuple, so congruences built
+    on different paths that describe one relation compare and hash equal."""
+    groups = [
+        [delta(S), rc_close(S, []), annihilator(S, delta(S), S.elements[0]), kappa(S, S.elements[0])]
+        for S in (T2, P2)
+    ]
+    groups.append(
+        [rc_close(T2, [(ID2, CONST1)]), annihilator(T2, delta(T2), CONST1), kappa(T2, CONST1)]
+    )
+    for same in groups:
+        for rho in same:
+            assert type(rho.eqrel) is tuple
+            assert rho == same[0] and hash(rho) == hash(same[0])
+    assert groups[2][0] != groups[0][0]
+
+
+@pytest.mark.parametrize("kind,n", [("T", 4), ("P", 3)])
+def test_is_right_congruence_fills_every_row(kind, n):
+    """The check reads every product row, so checking equality fills the
+    whole product table."""
+    S = FiniteMonoid.full(kind, n)
+    assert is_right_congruence(S, delta(S).eqrel)
+    assert None not in S._rows
 
 
 # --- subact generators ----------------------------------------------------------

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from monoidkit.elements import (
-    EqRel,
     PartialMap,
     Partition,
     element_count,
@@ -14,7 +13,7 @@ from monoidkit.elements import (
     identity_of,
 )
 
-from kernel_oracle import carrier, dom, join, ker, kerhat, pairs, restrict, subset_of, upper_blocks
+from kernel_oracle import carrier, dom, join, ker, kerhat, pairs, rel, restrict, subset_of, upper_blocks
 
 
 def pm(*images):
@@ -54,23 +53,23 @@ def test_profile_fibers():
     dom_a, im, ker_a, kerhat_a = dom(a), a.im(), ker(a), kerhat(a)
     assert dom_a == {1, 2}
     assert im == {1}
-    assert ker_a == EqRel([(1, 2)])
-    assert kerhat_a == EqRel([(1, 2), (3,)])
+    assert ker_a == rel([1, 2])
+    assert kerhat_a == rel([1, 2], [3])
 
 
 def test_profile_identity():
     a = PartialMap.identity(3)
     dom_a, im, ker_a, kerhat_a = dom(a), a.im(), ker(a), kerhat(a)
     assert dom_a == im == {1, 2, 3}
-    assert ker_a == kerhat_a == EqRel.discrete([1, 2, 3])
+    assert ker_a == kerhat_a == rel([1], [2], [3])
 
 
 def test_profile_nowhere_defined():
     a = PartialMap.empty(3)
     dom_a, im, ker_a, kerhat_a = dom(a), a.im(), ker(a), kerhat(a)
     assert dom_a == frozenset()
-    assert ker_a == EqRel([])
-    assert kerhat_a == EqRel([(1, 2, 3)])
+    assert ker_a == rel()
+    assert kerhat_a == rel([1, 2, 3])
 
 
 def test_profile_monotone_under_composition():
@@ -185,7 +184,7 @@ def test_partition_profile_with_transversal():
     a = Partition(2, [[1, 2, -1], [-2]])
     assert dom(a) == {1, 2}
     assert dom(a.star()) == {1}
-    assert ker(a) == EqRel([(1, 2)])
+    assert ker(a) == rel([1, 2])
     assert upper_blocks(a) == frozenset()
     assert upper_blocks(a.star()) == {frozenset({2})}
 
@@ -213,9 +212,9 @@ def test_partition_validation():
 
 
 def test_join_chains_transitively():
-    r = EqRel([(1, 2), (3,), (4,)])
-    s = EqRel([(2, 3), (1,), (4,)])
-    assert join(r, s) == EqRel([(1, 2, 3), (4,)])
+    r = rel([1, 2], [3], [4])
+    s = rel([2, 3], [1], [4])
+    assert join(r, s) == rel([1, 2, 3], [4])
     assert join(r, r) == r
 
 
@@ -223,10 +222,10 @@ def test_join_of_kernels_on_different_carriers():
     r = ker(pm(1, 1, None))
     s = ker(pm(None, 2, 2))
     assert carrier(r) == {1, 2} and carrier(s) == {2, 3}
-    assert join(r, s) == EqRel([(1, 2, 3)])
+    assert join(r, s) == rel([1, 2, 3])
 
 
-def _random_eqrel(rng, ground):
+def _random_relation(rng, ground):
     carrier = [x for x in ground if rng.random() < 0.8]
     classes = []
     for x in carrier:
@@ -234,14 +233,14 @@ def _random_eqrel(rng, ground):
             rng.choice(classes).append(x)
         else:
             classes.append([x])
-    return EqRel(classes)
+    return rel(*classes)
 
 
 def test_join_commutative_associative_idempotent():
     rng = random.Random(11)
     ground = range(1, 9)
     for _ in range(200):
-        r, s, t = (_random_eqrel(rng, ground) for _ in range(3))
+        r, s, t = (_random_relation(rng, ground) for _ in range(3))
         assert join(r, s) == join(s, r)
         assert join(join(r, s), t) == join(r, join(s, t))
         assert join(r, r) == r
@@ -251,13 +250,13 @@ def test_subset_of_matches_pairwise_containment():
     rng = random.Random(13)
     ground = range(1, 7)
     for _ in range(200):
-        r, s = _random_eqrel(rng, ground), _random_eqrel(rng, ground)
+        r, s = _random_relation(rng, ground), _random_relation(rng, ground)
         assert subset_of(r, s) == (pairs(r) <= pairs(s))
 
 
 def test_restrict():
-    r = EqRel([(1, 2, 3), (4, 5)])
-    assert restrict(r, {2, 3, 4}) == EqRel([(2, 3), (4,)])
+    r = rel([1, 2, 3], [4, 5])
+    assert restrict(r, {2, 3, 4}) == rel([2, 3], [4])
 
 
 # --- enumeration ------------------------------------------------------------

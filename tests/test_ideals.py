@@ -64,10 +64,10 @@ def _meet_right_pt_by_kernels(a, b):
     joined = join(ker(a), ker(b))
     inter = dom(a) & dom(b)
     images = [None] * a.n
-    for cls in joined.classes:
-        if all(x in inter for x in cls):
+    for cls in joined:
+        if cls <= inter:
             for x in cls:
-                images[x - 1] = cls[0]
+                images[x - 1] = min(cls)
     return PartialMap(images)
 
 
@@ -164,17 +164,16 @@ def _meet_right_partition_by_kernels(a, b):
     # Every kernel class of either factor that meets the anchored region must
     # sit inside a single combined upper block.
     for rel in (ker(a), ker(b)):
-        for cls in rel.classes:
-            pts = set(cls)
-            if pts & anchored and not any(pts <= blk for blk in upper):
+        for cls in rel:
+            if cls & anchored and not any(cls <= blk for blk in upper):
                 return MeetResult.nothing()
     rest = [x for x in range(1, n + 1) if x not in anchored]
     gamma = join(restrict(ker(a), rest), restrict(ker(b), rest))
     blocks = [sorted(blk) for blk in upper]
     used_lower = set()
-    for cls in gamma.classes:
-        blocks.append(list(cls) + [-cls[0]])
-        used_lower.add(cls[0])
+    for cls in gamma:
+        blocks.append(list(cls) + [-min(cls)])
+        used_lower.add(min(cls))
     blocks.extend([-y] for y in range(1, n + 1) if y not in used_lower)
     return MeetResult.found(Partition(n, blocks))
 

@@ -1,5 +1,6 @@
 """Property tests for the shift monoid's product rule and its fast paths, for
-the element parsers, and for the preorders and meets past enumeration.
+the element parsers, for the preorders and meets past enumeration, and for
+the min-root union-find.
 
 Examples are drawn deterministically, so every run checks the same cases.
 """
@@ -11,13 +12,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from monoidkit.elements import PartialMap, Partition, is_kind  # noqa: E402
+from monoidkit.elements import PartialMap, Partition, is_kind, min_root_join  # noqa: E402
 from monoidkit.ideals import meet  # noqa: E402
 from monoidkit.order import leq_L, leq_R  # noqa: E402
 from monoidkit.pmonoid import NF, nf_mul, nf_window  # noqa: E402
 from monoidkit.textio import ParseError, format_element, parse_element  # noqa: E402
 
-from kernel_oracle import leq_R_by_kernels  # noqa: E402
+from kernel_oracle import component_labels, leq_R_by_kernels  # noqa: E402
 
 COORD = 20
 HALF = 4 * COORD  # products puncture up to 2 * COORD and shift up to 2 * COORD
@@ -82,6 +83,7 @@ partitions = st.integers(1, 4).flatmap(
 
 @deterministic
 @given(st.one_of(nfs, partial_maps, partitions))
+@example(Partition(0, []))
 def test_parse_inverts_format(x):
     kinds = ["NF"] if isinstance(x, NF) else [k for k in ("PT", "T", "I", "P") if is_kind(x, k)]
     for kind in kinds:
@@ -205,3 +207,26 @@ def test_preorder_and_meet_laws_past_enumeration(data):
         assert leq(kind, g, a) and leq(kind, g, b)
     if leq(kind, c, b):
         assert not result.empty and leq(kind, c, result.generator)
+
+
+# --- the min-root union-find --------------------------------------------------------
+
+
+linked_points = st.integers(0, 30).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+        max_size=2 * n,
+    ).map(lambda links: (n, links))
+)
+
+
+@deterministic
+@given(linked_points)
+def test_min_root_join_labels_class_minima(drawn):
+    """Every label is the least point of its class, as breadth-first search
+    finds the classes."""
+    n, links = drawn
+    labels = min_root_join(n, links)
+    for x in range(n):
+        assert labels[x] <= x and labels[labels[x]] == labels[x]
+    assert tuple(labels) == component_labels(n, links)
