@@ -116,10 +116,10 @@ def cmd_mul(args) -> int:
 
 def cmd_green(args) -> int:
     a, b = _parse_many(args.kind, [args.a, args.b])
+    S = cached_monoid(args.kind, a.n) if args.oracle else None
     holds = leq_R(args.kind, a, b) if args.side == "R" else leq_L(args.kind, a, b)
     print("true" if holds else "false")
-    if args.oracle:
-        S = cached_monoid(args.kind, a.n)
+    if S is not None:
         verdict = leq_oracle(S, a, b, args.side)
         if verdict.holds != holds:
             print("oracle-disagreement", file=sys.stderr)
@@ -131,10 +131,10 @@ def cmd_green(args) -> int:
 
 def cmd_meet(args) -> int:
     a, b = _parse_many(args.kind, [args.a, args.b])
+    S = cached_monoid(args.kind, a.n) if args.verify else None
     result = meet(args.kind, args.side, a, b)
     print("EMPTY" if result.empty else format_element(result.generator))
-    if args.verify:
-        S = cached_monoid(args.kind, a.n)
+    if S is not None:
         if not verify_meet(S, a, b, result, args.side):
             print("oracle-disagreement", file=sys.stderr)
             return 1

@@ -5,8 +5,8 @@ A full monoid's product rows come from its generators (the row half of
 Froidure & Pin 1997): the generators' rows are computed by products, and
 since (g*p)*j = g*(p*j), the row of any x = g*p is the row of p looked up in
 the row of g.  A left factor tree, built once from the generators' rows,
-gives every element such a factorization, and also the left column S*b in m
-lookups, as x*b = g*(p*b).
+gives every element such a factorization.  Left-side questions are the
+right-side ones of the opposite monoid, whose rows are the columns S*b.
 
 The least right congruence containing pairs R is the equivalence generated by
 the instances (c*t, d*t) for (c, d) in R and t in S.  The instances are closed
@@ -38,40 +38,44 @@ def _mask(indices):
 class FiniteMonoid:
     """An enumerated monoid: canonical element list with the identity first.
 
-    Product rows, left columns and principal ideals are cached; row i lists
-    the indices of elements[i] * x for every x, column j those of
-    x * elements[j], and an ideal is an int bitmask over the indices.
-    Without generators every row and column is computed with `*` on the
-    elements (overridable).  A full monoid records its standard generators.
-    Its first rows, as many as it has generators, are computed by products,
-    so a closure or an annihilator that reads a row or two pays nothing
-    more.  Past those, the generators' rows are computed by products too,
-    and every other row is composed from them along the left factor tree.
+    Product rows and principal right ideals are cached; row i lists the
+    indices of elements[i] * x for every x, and an ideal is an int bitmask
+    over the indices.  Without generators every row is computed with `*` on
+    the elements (overridable).  A full monoid records its standard
+    generators.  Its first rows, as many as it has generators, are computed
+    by products, so a closure or an annihilator that reads a row or two pays
+    nothing more.  Past those, the generators' rows are computed by products
+    too, and every other row is composed from them along the left factor
+    tree.  Left columns and left ideals are the rows and right ideals of
+    `opposite()`.
     """
 
     def __init__(self, elements, mul=None, check=True):
         self.elements = list(elements)
         if not self.elements:
             raise ValueError("a monoid needs at least an identity")
-        self._mul_fn = mul if mul is not None else operator.mul
         self._index = {}
         for i, x in enumerate(self.elements):
             if x in self._index:
                 raise ValueError(f"duplicate element {x!r}")
             self._index[x] = i
-        self._rows = [None] * len(self.elements)
-        self._columns = [None] * len(self.elements)
-        self._product_rows = 0
-        # Generator indices, set only where the generating set is known.
-        self._generators = None
-        self._tree = None
-        self._right_ideals = {}
-        self._left_ideals = {}
+        self._start(mul if mul is not None else operator.mul, None)
         if check:
             one = self.elements[0]
             for x in self.elements:
                 if self._mul_fn(one, x) != x or self._mul_fn(x, one) != x:
                     raise ValueError("element at index 0 is not an identity")
+
+    def _start(self, mul, generators):
+        """Empty caches for a product on the elements; generator indices are
+        set only where the generating set is known."""
+        self._mul_fn = mul
+        self._generators = generators
+        self._rows = [None] * len(self.elements)
+        self._product_rows = 0
+        self._tree = None
+        self._right_ideals = {}
+        self._opposite = None
 
     @classmethod
     def full(cls, kind, n, cap=DEFAULT_ENUM_CAP):
@@ -118,9 +122,9 @@ class FiniteMonoid:
         return row
 
     def _left_factor_tree(self):
-        """(order, gen, parent): the elements in breadth-first order from the
-        identity, and for every other element x a generator gen[x] and an
-        element parent[x] earlier in that order with x = gen[x]*parent[x]."""
+        """(gen, parent): for every element x but the identity a generator
+        gen[x] and an element parent[x], nearer the identity in breadth-first
+        order, with x = gen[x]*parent[x]."""
         if self._tree is None:
             m = len(self.elements)
             gen_rows = [(g, self._rows[g] or self._product_row(g)) for g in self._generators]
@@ -139,11 +143,11 @@ class FiniteMonoid:
                 raise ValueError(f"the generators reach {len(order)} of {m} elements")
             if self._rows[0] is None:
                 self._rows[0] = list(range(m))
-            self._tree = (order, gen, parent)
+            self._tree = (gen, parent)
         return self._tree
 
     def _composed_row(self, i):
-        _, gen, parent = self._left_factor_tree()
+        gen, parent = self._left_factor_tree()
         rows = self._rows
         path = []
         x = i
@@ -153,31 +157,6 @@ class FiniteMonoid:
         for x in reversed(path):
             rows[x] = list(map(rows[gen[x]].__getitem__, rows[parent[x]]))
         return rows[i]
-
-    def column(self, j):
-        """Indices of x*b for every x, b = elements[j]; the cached list, not
-        to be modified.
-
-        With generators it is read off the left factor tree, x*b = g*(p*b),
-        in m lookups and no products; without, by m products, filling no row.
-        A column that fails is not cached."""
-        col = self._columns[j]
-        if col is not None:
-            return col
-        if self._generators is None:
-            b = self.elements[j]
-            try:
-                col = [self._index[self._mul_fn(x, b)] for x in self.elements]
-            except KeyError as exc:
-                raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
-        else:
-            order, gen, parent = self._left_factor_tree()
-            rows = self._rows
-            col = [j] * len(order)
-            for x in itertools.islice(order, 1, None):
-                col[x] = rows[gen[x]][col[parent[x]]]
-        self._columns[j] = col
-        return col
 
     def mul_idx(self, i, j):
         return self.row(i)[j]
@@ -193,25 +172,22 @@ class FiniteMonoid:
             ideal = self._right_ideals[i] = _mask(self.row(i))
         return ideal
 
-    def left_ideal_idx(self, j):
-        """S*a for a = elements[j], as a cached bitmask like
-        `right_ideal_idx`."""
-        ideal = self._left_ideals.get(j)
-        if ideal is None:
-            ideal = self._left_ideals[j] = _mask(self.column(j))
-        return ideal
-
     def idempotent_idxs(self):
         """One product per element; no row is filled."""
         return [i for i, x in enumerate(self.elements) if self._mul_fn(x, x) == x]
 
     def opposite(self):
-        """The same elements with reversed multiplication, and the same
-        generators."""
-        fn = self._mul_fn
-        op = FiniteMonoid(self.elements, mul=lambda a, b: fn(b, a), check=False)
-        op._generators = self._generators
-        return op
+        """The same elements with reversed multiplication, built once: it
+        shares the element list and index, keeps the generators, has caches
+        of its own, and its opposite is this monoid."""
+        if self._opposite is None:
+            fn = self._mul_fn
+            op = self._opposite = object.__new__(type(self))
+            # Set in __init__'s order: a copied __dict__ slows every lookup.
+            op.elements, op._index = self.elements, self._index
+            op._start(lambda a, b: fn(b, a), self._generators)
+            op._opposite = self
+        return self._opposite
 
     def __repr__(self):
         return f"FiniteMonoid({len(self.elements)} elements)"
@@ -391,12 +367,14 @@ def is_right_congruence(S: FiniteMonoid, labels) -> bool:
     """Full compatibility check on a labelling of the element indices: every
     related pair stays related under every right multiplier, so the members
     of a class have equal rows once each product is replaced by its label.
-    Every row is read."""
+    Every row is read; only classes of two or more members are compared."""
     label = list(labels).__getitem__
-    for cls in _classes(labels):
-        first = list(map(label, S.row(cls[0])))
-        if any(list(map(label, S.row(u))) != first for u in cls[1:]):
-            return False
+    for first, *rest in _classes(labels):
+        row = S.row(first)
+        if rest:
+            mapped = list(map(label, row))
+            if any(list(map(label, S.row(u))) != mapped for u in rest):
+                return False
     return True
 
 

@@ -142,20 +142,17 @@ def meet(kind, side, a, b) -> MeetResult:
 def verify_meet(S: FiniteMonoid, a, b, result: MeetResult, side="R") -> bool:
     """Brute-force check that the meet result is exact within S.
 
-    Intersects both principal ideals, as `FiniteMonoid` bitmasks, and
-    compares with the generator's principal ideal (or with emptiness).
+    Intersects both principal right ideals, as `FiniteMonoid` bitmasks, and
+    compares with the generator's (or with emptiness); a left side is the
+    right side of the opposite monoid.
     """
-    ia, ib = S.index_of(a), S.index_of(b)
-    if side == "R":
-        inter = S.right_ideal_idx(ia) & S.right_ideal_idx(ib)
-    elif side == "L":
-        inter = S.left_ideal_idx(ia) & S.left_ideal_idx(ib)
-    else:
+    if side not in ("R", "L"):
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+    if side == "L":
+        S = S.opposite()
+    inter = S.right_ideal_idx(S.index_of(a)) & S.right_ideal_idx(S.index_of(b))
     if result.empty:
         return not inter
     if result.generator not in S:
         return False
-    ig = S.index_of(result.generator)
-    ideal = S.right_ideal_idx(ig) if side == "R" else S.left_ideal_idx(ig)
-    return ideal == inter
+    return S.right_ideal_idx(S.index_of(result.generator)) == inter

@@ -80,12 +80,12 @@ def leq_L(kind, a, b) -> bool:
 
 def leq_oracle(S, a, b, side="R") -> OrderVerdict:
     """The first s in S with b*s == a (side R) or s*b == a (side L), found
-    in b's product row or left column."""
+    in b's product row in S or in its opposite."""
     if side not in ("R", "L"):
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
     ia = S.index_of(a)
     ib = S.index_of(b)
-    products = S.row(ib) if side == "R" else S.column(ib)
+    products = (S if side == "R" else S.opposite()).row(ib)
     try:
         s = products.index(ia)
     except ValueError:
@@ -109,12 +109,13 @@ def natural_leq(e, f) -> bool:
 def generalized_inverses(S, a) -> list:
     """All x in S with a*x*a == a and x*a*x == x; empty iff a is not regular.
 
-    With col the left column of a, a*x*a is col[a*x] and x*a*x is read in
-    the row of x*a, so only the rows of a and of members of S*a are read.
+    With col the row of a in the opposite monoid, col[y] = y*a, so a*x*a is
+    col[a*x] and x*a*x is read in the row of x*a: besides that one row of
+    the opposite, only the rows of a and of members of S*a are read.
     """
     ia = S.index_of(a)
     row_a = S.row(ia)
-    col = S.column(ia)
+    col = S.opposite().row(ia)
     return [
         S.elements[x]
         for x in range(len(S))

@@ -112,6 +112,23 @@ def test_green_left_oracle_on_t5(capsys):
     assert (code, out, err) == (1, "false\n", "")
 
 
+T8_CONST = "[1,1,1,1,1,1,1,1]"
+
+
+def test_refused_oracle_carrier_prints_no_answer(capsys):
+    code, out, err = run(capsys, "green", "--kind", "T", "--oracle", T8_CONST, T8_CONST)
+    assert (code, out) == (2, "")
+    assert err == "error: enumerating T_8 would produce 16777216 elements (cap 1000000)\n"
+
+
+def test_refused_verify_carrier_prints_no_answer(capsys):
+    code, out, err = run(
+        capsys, "meet", "--kind", "T", "--side", "L", "--verify", T8_CONST, "[2,2,2,2,2,2,2,2]"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: enumerating T_8 would produce 16777216 elements (cap 1000000)\n"
+
+
 def test_pmonoid_relations(capsys):
     code, out, _ = run(capsys, "pmonoid", "relations", "--max-k", "10")
     assert code == 0 and out == "true\n"

@@ -14,6 +14,7 @@ from monoidkit.congruence import (
     y_sequence,
 )
 from monoidkit.elements import PartialMap, Partition, find, generators
+from monoidkit.ideals import meet, verify_meet
 from monoidkit.order import generalized_inverses, leq_oracle
 from monoidkit.verify import cached_monoid, delta
 
@@ -37,9 +38,13 @@ def test_finite_monoid_rejects_non_closed_list():
     S = FiniteMonoid([ID2, SWAP, CONST1])
     with pytest.raises(ValueError):
         S.mul(CONST1, SWAP)  # const2 is missing from the list
-    for _ in range(2):  # a failed column is not cached
+    op = S.opposite()
+    for _ in range(2):  # a failed row of the opposite is not cached
         with pytest.raises(ValueError, match="not closed"):
-            S.column(S.index_of(SWAP))  # the column meets const1 * swap too
+            op.row(S.index_of(SWAP))  # the column meets const1 * swap too
+        assert op._rows[S.index_of(SWAP)] is None
+    with pytest.raises(ValueError, match="not closed"):
+        leq_oracle(S, CONST1, SWAP, "L")  # an error, not a verdict of False
 
 
 def test_finite_monoid_rejects_non_identity_head():
@@ -64,6 +69,30 @@ def test_opposite_monoid(T2):
     assert op.mul(CONST1, SWAP) == T2.mul(SWAP, CONST1)
 
 
+def _column(S, j):
+    """Indices of x*b for every x, b = elements[j], by m products in S."""
+    b = S.elements[j]
+    return [S.index_of(S._mul_fn(x, b)) for x in S.elements]
+
+
+def test_opposite_is_cached_and_shares_the_index():
+    S = FiniteMonoid.full("T", 3)
+    op = S.opposite()
+    assert op is S.opposite() and op.opposite() is S
+    assert op.elements is S.elements and op._index is S._index
+    assert op._generators == S._generators
+    assert op._rows is not S._rows and op._right_ideals is not S._right_ideals
+    assert op.row(4) == _column(S, 4) and S._rows[4] is None
+
+
+def test_left_queries_fill_no_row_of_the_monoid():
+    S = FiniteMonoid.full("T", 3)
+    for a, b in itertools.product(S.elements[:8], repeat=2):
+        leq_oracle(S, a, b, "L")
+        verify_meet(S, a, b, meet("T", "L", a, b), "L")
+    assert S._rows == [None] * len(S)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -80,7 +109,8 @@ def test_composed_rows_and_tree_columns_match_products(build):
     S = build()
     direct = FiniteMonoid(S.elements, mul=S._mul_fn, check=False)  # no generators
     m = len(S)
-    assert [S.column(j) for j in range(m)] == [direct.column(j) for j in range(m)]
+    op = S.opposite()  # columns are the opposite's rows, composed on its own tree
+    assert [op.row(j) for j in range(m)] == [_column(direct, j) for j in range(m)]
     assert [S.row(i) for i in range(m)] == [direct.row(i) for i in range(m)]
 
 
@@ -105,7 +135,7 @@ def test_ideal_masks_decode_to_rows_and_columns(build):
     direct = FiniteMonoid(S.elements, mul=S._mul_fn, check=False)
     for i in range(len(S)):
         assert _members(S.right_ideal_idx(i)) == set(S.row(i))
-        assert _members(S.left_ideal_idx(i)) == set(direct.column(i))
+        assert _members(S.opposite().right_ideal_idx(i)) == set(_column(direct, i))
         assert S.right_ideal_idx(i) is S.right_ideal_idx(i)
 
 
@@ -113,14 +143,14 @@ def test_columns_are_cached_and_left_unmodified():
     S = FiniteMonoid.full("T", 3)
     direct = FiniteMonoid(S.elements, check=False)
     m = len(S)
-    assert S.column(5) is S.column(5)
-    assert direct.column(5) is direct.column(5)
+    assert S.opposite().row(5) is S.opposite().row(5)
+    assert direct.opposite().row(5) is direct.opposite().row(5)
     for a, b in itertools.product(S.elements, repeat=2):
         leq_oracle(S, a, b, "L")
     for j, a in enumerate(S.elements):
         generalized_inverses(S, a)
-        S.left_ideal_idx(j)
-    assert [S.column(j) for j in range(m)] == [direct.column(j) for j in range(m)]
+        S.opposite().right_ideal_idx(j)
+    assert [S.opposite().row(j) for j in range(m)] == [_column(direct, j) for j in range(m)]
 
 
 def test_generators_missing_an_element_refused():
@@ -129,8 +159,10 @@ def test_generators_missing_an_element_refused():
     for dropped in range(len(gens)):
         partial = FiniteMonoid(S.elements, check=False)
         partial._generators = gens[:dropped] + gens[dropped + 1:]
-        with pytest.raises(ValueError, match="generators reach"):
-            partial.column(0)
+        for side in (partial, partial.opposite()):
+            with pytest.raises(ValueError, match="generators reach"):
+                for i in range(len(S)):
+                    side.row(i)
 
 
 @pytest.fixture

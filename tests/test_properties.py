@@ -1,10 +1,12 @@
 """Property tests for the shift monoid's product rule and its fast paths, for
-the element parsers, for the preorders and meets past enumeration, and for
-the min-root union-find.
+the element parsers, for the preorders and meets past enumeration, for the
+min-root union-find, and for the command line's exit codes.
 
 Examples are drawn deterministically, so every run checks the same cases.
 """
 
+import contextlib
+import io
 import itertools
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from monoidkit.cli import main  # noqa: E402
 from monoidkit.elements import PartialMap, Partition, is_kind, min_root_join  # noqa: E402
 from monoidkit.ideals import meet  # noqa: E402
 from monoidkit.order import leq_L, leq_R  # noqa: E402
@@ -230,3 +233,52 @@ def test_min_root_join_labels_class_minima(drawn):
     for x in range(n):
         assert labels[x] <= x and labels[labels[x]] == labels[x]
     assert tuple(labels) == component_labels(n, links)
+
+
+# --- the command line on arbitrary input ---------------------------------------
+
+
+CLI_ALPHABET = "[]{}_,;+-'0123456789 ghe"
+cli_texts = st.one_of(
+    st.text(CLI_ALPHABET, max_size=12),
+    st.text("ghe", max_size=8),
+    canonical_texts,
+    st.builds(_edit, canonical_texts, st.integers(0, 40), st.sampled_from(CLI_ALPHABET), st.booleans()),
+)
+kinds = st.sampled_from(["T", "PT", "I", "P"])
+sides = st.sampled_from(["R", "L"])
+small = st.integers(-3, 12).map(str)
+
+
+def _chain_argv(n, *bounds):
+    """`pmonoid chain` with each optional bound given or left out."""
+    names = ("--y-index", "--max-excluded", "--max-magnitude", "--max-length")
+    given = [arg for name, value in zip(names, bounds) if value is not None for arg in (name, value)]
+    return ["pmonoid", "chain", "--n", n, *given]
+
+
+cli_argvs = st.one_of(
+    st.builds(lambda kind, els: ["mul", "--kind", kind, *els],
+              st.sampled_from(["T", "PT", "I", "P", "NF", "word"]), st.lists(cli_texts, max_size=3)),
+    st.builds(lambda kind, side, a, b: ["green", "--kind", kind, "--side", side, a, b],
+              kinds, sides, cli_texts, cli_texts),
+    st.builds(lambda kind, side, a, b: ["meet", "--kind", kind, "--side", side, a, b],
+              kinds, sides, cli_texts, cli_texts),
+    st.builds(lambda text: ["render", text], cli_texts),
+    st.builds(lambda nf, u, v: ["pmonoid", "ann", *(["--nf"] if nf else []), u, v],
+              st.booleans(), cli_texts, cli_texts),
+    st.builds(lambda k: ["pmonoid", "relations", "--max-k", k], small),
+    st.builds(lambda n: ["pmonoid", "nc", "--max-n", n], small),
+    st.builds(_chain_argv, small, *[st.none() | small] * 4),
+)
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=500)
+@given(cli_argvs)
+@example(["mul", "--kind", "word", "-"])
+@example(["pmonoid", "chain", "--n", "0", "--y-index", "-1"])
+def test_cli_exits_0_1_or_2_and_raises_nothing(argv):
+    """Output goes to buffers, so argparse's usage text stays out of the log."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
