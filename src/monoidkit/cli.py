@@ -155,11 +155,13 @@ def _parse_pairs(kind, n, raw_pairs):
 def cmd_cong_close(args) -> int:
     S = cached_monoid(args.kind, args.n)
     pairs = _parse_pairs(args.kind, args.n, args.pair)
+    witness = _parse_many(args.kind, args.witness) if args.witness else ()
+    for x in witness:
+        S.index_of(x)  # a non-member is refused before any output
     rho = rc_close(S, pairs)
     _print_classes(rho)
-    if args.witness:
-        x, y = _parse_many(args.kind, args.witness)
-        seq = y_sequence(rho, x, y)
+    if witness:
+        seq = y_sequence(rho, *witness)
         if seq is None:
             print("NOT-RELATED")
             return 1

@@ -24,7 +24,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .elements import enumerate_elements, find, generators, identity_of, min_root_join, DEFAULT_ENUM_CAP
+from .elements import enumerate_elements, find, generators, identity_of, min_root_join
 
 
 def _mask(indices):
@@ -78,9 +78,9 @@ class FiniteMonoid:
         self._opposite = None
 
     @classmethod
-    def full(cls, kind, n, cap=DEFAULT_ENUM_CAP):
+    def full(cls, kind, n):
         """The whole monoid of a kind, identity moved to index 0."""
-        elements = enumerate_elements(kind, n, cap=cap)
+        elements = enumerate_elements(kind, n)
         one = identity_of(kind, n)
         elements.remove(one)
         S = cls([one] + elements, check=False)
@@ -328,39 +328,27 @@ def y_sequence(rho: RightCongruence, a, b):
     ia, ib = S.index_of(a), S.index_of(b)
     if rho.eqrel[ia] != rho.eqrel[ib]:
         return None
-    if ia == ib:
-        return YSequence(a, b, ())
     # The recorded merges form a forest spanning each class; BFS finds the
-    # unique path between the two indices.
+    # unique path between the two indices, orienting each step as its edge
+    # is first met: (c, d) from the edge's first end, (d, c) from its second.
     prev = {ia: None}
     queue = deque([ia])
-    while queue:
+    while ib not in prev:
+        assert queue, "trace forest does not span the class"
         x = queue.popleft()
-        if x == ib:
-            break
         for edge_id in rho._adjacency.get(x, ()):
-            u, v, _, _ = rho._edges[edge_id]
-            other = v if x == u else u
+            u, v, p, t = rho._edges[edge_id]
+            c, d = rho.pairs[p]
+            other, step = (v, (c, d, t)) if x == u else (u, (d, c, t))
             if other not in prev:
-                prev[other] = (x, edge_id)
+                prev[other] = (x, step)
                 queue.append(other)
-    assert ib in prev, "trace forest does not span the class"
-    path = []
+    steps = []
     x = ib
     while prev[x] is not None:
-        x_from, edge_id = prev[x]
-        path.append((x_from, x, edge_id))
-        x = x_from
-    path.reverse()
-    steps = []
-    for x_from, x_to, edge_id in path:
-        u, v, p, t = rho._edges[edge_id]
-        c, d = rho.pairs[p]
-        if x_from == u:
-            steps.append((c, d, S.elements[t]))
-        else:
-            steps.append((d, c, S.elements[t]))
-    return YSequence(a, b, tuple(steps))
+        x, (c, d, t) = prev[x]
+        steps.append((c, d, S.elements[t]))
+    return YSequence(a, b, tuple(reversed(steps)))
 
 
 def is_right_congruence(S: FiniteMonoid, labels) -> bool:
@@ -394,9 +382,10 @@ def annihilator(S: FiniteMonoid, rho: RightCongruence, a) -> RightCongruence:
 def kappa(S: FiniteMonoid, s) -> RightCongruence:
     """Elements u, v are related iff some powers of s satisfy s^m u == s^n v.
 
-    Computed directly from the finitely many distinct powers of s; the result
-    is checked to be transitively exact, so it equals the definitional pair
-    set, not merely its closure.
+    It generates the same equivalence as u ~ s*u, so the classes link each u
+    to s*u along the row of s.  The power orbits {s^k u} then check that the
+    classes are transitively exact: the result is the definitional pair set,
+    not merely its closure.
     """
     i_s = S.index_of(s)
     powers = []
@@ -407,10 +396,7 @@ def kappa(S: FiniteMonoid, s) -> RightCongruence:
         powers.append(cur)
         cur = S.mul_idx(cur, i_s)
     orbits = [frozenset(S.mul_idx(p, u) for p in powers) for u in range(len(S))]
-    # Orbits that share a member are linked through that member's first owner.
-    owner = {}
-    links = [(u, owner.setdefault(w, u)) for u in range(len(S)) for w in orbits[u]]
-    labels = min_root_join(len(S), links)
+    labels = min_root_join(len(S), enumerate(S.row(i_s)))
     for cls in _classes(labels):
         for u in cls:
             for v in cls:

@@ -75,11 +75,11 @@ class PartialMap:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return cls._from_internal(tuple(range(1, n + 1)))
 
     @classmethod
     def empty(cls, n):
-        return cls([None] * n)
+        return cls._from_internal((None,) * n)
 
     def __call__(self, x):
         if not 1 <= x <= self.n:
@@ -118,7 +118,7 @@ class PartialMap:
         for x, v in enumerate(self.images, start=1):
             if v is not None:
                 inv[v - 1] = x
-        return PartialMap(inv)
+        return PartialMap._from_internal(tuple(inv))
 
     def __eq__(self, other):
         return isinstance(other, PartialMap) and self.images == other.images
@@ -177,15 +177,18 @@ class Partition:
         return tuple(sorted(canon))
 
     @classmethod
-    def _from_internal(cls, n, internal_blocks):
+    def _from_internal(cls, n, blocks):
+        """Wrap internal blocks without checking them: the caller hands a
+        tuple of ascending tuples, sorted by their minimum, that cover 1..2n
+        once.  Outside input goes through the validating constructor."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", cls._canonical(n, internal_blocks))
+        object.__setattr__(self, "blocks", blocks)
         return self
 
     @classmethod
     def identity(cls, n):
-        return cls._from_internal(n, [(x, n + x) for x in range(1, n + 1)])
+        return cls._from_internal(n, tuple([(x, n + x) for x in range(1, n + 1)]))
 
     def __mul__(self, other):
         """Stack the diagrams and contract the middle row.
@@ -196,8 +199,7 @@ class Partition:
 
         The groups are filled in point order, upper row first, so each block
         is ascending and the blocks come in order of their minimum, and every
-        point lands in exactly one block: they are already canonical, and the
-        product is built without `_canonical`'s re-validation.
+        point lands in exactly one block: they are already canonical.
         """
         if not isinstance(other, Partition):
             return NotImplemented
@@ -218,28 +220,21 @@ class Partition:
             groups.setdefault(find(parent, x - 1), []).append(x)
         for x in range(1, n + 1):
             groups.setdefault(find(parent, 2 * n + x - 1), []).append(n + x)
-        product = object.__new__(Partition)
-        object.__setattr__(product, "n", n)
-        object.__setattr__(product, "blocks", tuple([tuple(g) for g in groups.values()]))
-        return product
+        return Partition._from_internal(n, tuple([tuple(g) for g in groups.values()]))
 
     def star(self):
         """Swap the two rows; an involutive anti-isomorphism.
 
         Swapping the rows of a valid partition leaves it valid, so only the
-        order is restored, with no `_canonical` pass: in an ascending block
-        the lower points, moved up, come before the upper points, moved down,
-        and the blocks are sorted again by their minimum.
+        order is restored: in an ascending block the lower points, moved up,
+        come before the upper points, moved down, and the blocks are sorted
+        again by their minimum.
         """
         n = self.n
-        blocks = sorted(
+        return Partition._from_internal(n, tuple(sorted(
             tuple([p - n for p in block if p > n] + [p + n for p in block if p <= n])
             for block in self.blocks
-        )
-        result = object.__new__(Partition)
-        object.__setattr__(result, "n", n)
-        object.__setattr__(result, "blocks", tuple(blocks))
-        return result
+        )))
 
     def __eq__(self, other):
         return (
@@ -309,15 +304,16 @@ def element_count(kind, n) -> int:
 
 
 def _set_partitions(points):
-    """All set partitions of a list of points, as lists of lists."""
+    """All set partitions of a list of points, as tuples of blocks in the
+    points' order, the blocks in order of their first point."""
     points = list(points)
     if not points:
-        yield []
+        yield ()
         return
 
     def rec(i, blocks):
         if i == len(points):
-            yield [list(b) for b in blocks]
+            yield tuple([tuple(b) for b in blocks])
             return
         p = points[i]
         for block in blocks:
@@ -331,21 +327,21 @@ def _set_partitions(points):
     yield from rec(0, [])
 
 
-def enumerate_elements(kind, n, cap=DEFAULT_ENUM_CAP):
+def enumerate_elements(kind, n):
     """Complete, duplicate-free, deterministic enumeration of a kind.
 
-    Refuses to run when the predicted count exceeds `cap`.
+    Refuses to run when the predicted count exceeds `DEFAULT_ENUM_CAP`.
+    Every element is built in canonical form, so none is re-validated.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     count = element_count(kind, n)
-    if cap is not None and count > cap:
-        raise ValueError(f"enumerating {kind}_{n} would produce {count} elements (cap {cap})")
-    if kind == "T":
-        return [PartialMap(img) for img in itertools.product(range(1, n + 1), repeat=n)]
-    if kind == "PT":
-        vals = [None] + list(range(1, n + 1))
-        return [PartialMap(img) for img in itertools.product(vals, repeat=n)]
+    if count > DEFAULT_ENUM_CAP:
+        raise ValueError(f"enumerating {kind}_{n} would produce {count} elements"
+                         f" (cap {DEFAULT_ENUM_CAP})")
+    if kind in ("T", "PT"):
+        vals = ([None] if kind == "PT" else []) + list(range(1, n + 1))
+        return list(map(PartialMap._from_internal, itertools.product(vals, repeat=n)))
     if kind == "I":
         out = []
         points = list(range(1, n + 1))
@@ -355,13 +351,11 @@ def enumerate_elements(kind, n, cap=DEFAULT_ENUM_CAP):
                     img = [None] * n
                     for x, v in zip(dom, image):
                         img[x - 1] = v
-                    out.append(PartialMap(img))
+                    out.append(PartialMap._from_internal(tuple(img)))
         return out
     if kind == "P":
-        return [
-            Partition._from_internal(n, blocks)
-            for blocks in _set_partitions(range(1, 2 * n + 1))
-        ]
+        # The points are ascending, so every set partition is canonical.
+        return [Partition._from_internal(n, b) for b in _set_partitions(range(1, 2 * n + 1))]
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -386,21 +380,21 @@ def generators(kind, n):
         images.append(list(range(2, n + 1)) + [1])
     if kind == "P":
         gens = [
-            Partition._from_internal(n, [(x, n + v) for x, v in enumerate(perm, start=1)])
+            Partition._from_internal(n, tuple([(x, n + v) for x, v in enumerate(perm, start=1)]))
             for perm in images
         ]
         if n >= 1:
             gens.append(Partition._from_internal(
-                n, [(1,), (n + 1,)] + [(x, n + x) for x in range(2, n + 1)]))
+                n, tuple(sorted([(1,), (n + 1,)] + [(x, n + x) for x in range(2, n + 1)]))))
         if n >= 2:
             gens.append(Partition._from_internal(
-                n, [(1, 2, n + 1, n + 2)] + [(x, n + x) for x in rest]))
+                n, ((1, 2, n + 1, n + 2),) + tuple([(x, n + x) for x in rest])))
         return gens
     if kind in ("T", "PT") and n >= 2:
         images.append([1, 1] + rest)
     if kind in ("I", "PT") and n >= 1:
         images.append([None] + list(range(2, n + 1)))
-    return [PartialMap(img) for img in images]
+    return [PartialMap._from_internal(tuple(img)) for img in images]
 
 
 EMBEDDINGS = ("I->PT", "I->P", "PT->T")
@@ -429,9 +423,9 @@ def embed(pair, a):
                 blocks.append((x, n + v))
                 used_lower.add(v)
         blocks.extend((n + y,) for y in range(1, n + 1) if y not in used_lower)
-        return Partition._from_internal(n, blocks)
+        return Partition._from_internal(n, tuple(blocks))
     if pair == "PT->T":
         require_kind(a, "PT")
         sink = a.n + 1
-        return PartialMap([v if v is not None else sink for v in a.images] + [sink])
+        return PartialMap._from_internal(tuple([sink if v is None else v for v in a.images] + [sink]))
     raise ValueError(f"unknown embedding {pair!r} (expected one of {EMBEDDINGS})")

@@ -72,26 +72,26 @@ def meet_left(kind, a, b) -> MeetResult:
     """Generator of Sa ∩ Sb; the kind decides what an acceptable image is.
 
     For partial kinds the partial identity on im a ∩ im b works (possibly the
-    empty map).  For total maps an empty image intersection means the
-    intersection of ideals is empty; otherwise surject onto it by fixing its
-    members and sending everything else to its minimum.
+    empty map).  For total maps on n >= 1 points an empty image intersection
+    means the intersection of ideals is empty; otherwise surject onto it by
+    fixing its members and sending everything else to its minimum.  On no
+    points the empty map is the identity and generates both ideals.
     """
     require_kind(a, kind)
     require_kind(b, kind)
     _check_sizes(a, b)
     common = a.im() & b.im()
     if kind in ("PT", "I"):
-        return MeetResult.found(
-            PartialMap([x if x in common else None for x in range(1, a.n + 1)])
-        )
-    if kind == "T":
-        if not common:
+        fill = None
+    elif kind == "T":
+        if a.n and not common:
             return MeetResult.nothing()
-        low = min(common)
-        return MeetResult.found(
-            PartialMap([x if x in common else low for x in range(1, a.n + 1)])
-        )
-    raise ValueError(f"meet_left does not handle kind {kind!r}")
+        fill = min(common, default=None)
+    else:
+        raise ValueError(f"meet_left does not handle kind {kind!r}")
+    return MeetResult.found(
+        PartialMap._from_internal(tuple([x if x in common else fill for x in range(1, a.n + 1)]))
+    )
 
 
 def meet_right_partition(a: Partition, b: Partition) -> MeetResult:
@@ -116,9 +116,10 @@ def meet_right_partition(a: Partition, b: Partition) -> MeetResult:
     if any(len(classes[roots[block[0] - 1]]) != len(block) for block in upper):
         return MeetResult.nothing()
     kept = {roots[block[0] - 1] for block in upper}
-    blocks = [cls if r in kept else cls + [n + r + 1] for r, cls in classes.items()]
+    # Classes by minimum, then the lower singletons: the blocks are canonical.
+    blocks = [tuple(cls) if r in kept else (*cls, n + r + 1) for r, cls in classes.items()]
     blocks.extend((n + x + 1,) for x in range(n) if x not in classes or x in kept)
-    return MeetResult.found(Partition._from_internal(n, blocks))
+    return MeetResult.found(Partition._from_internal(n, tuple(blocks)))
 
 
 def meet_left_partition(a: Partition, b: Partition) -> MeetResult:

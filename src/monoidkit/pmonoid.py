@@ -203,9 +203,12 @@ def _presentation_sides(max_k: int):
 
 
 def check_presentation(max_k: int) -> bool:
-    """Every defining relation holds as an exact normal-form equality."""
+    """Every defining relation holds as an exact normal-form equality; the
+    cost is linear in max_k, which is refused past 100000."""
     if max_k < 0:
         raise ValueError(f"max_k must be non-negative, got {max_k}")
+    if max_k > 100_000:
+        raise ValueError(f"max_k must be at most 100000, got {max_k}")
     return all(lhs == rhs for lhs, rhs in _presentation_sides(max_k))
 
 
@@ -214,11 +217,14 @@ def check_nc(max_n: int) -> bool:
 
     up(k) = g^k e h^k and dn(k) = h^k e g^k are idempotents; the conditions
     say the puncture commutes with them, they form an antichain between the
-    two families and within each family, and e·up(n) sits below no up(k) with
-    0 < k < n and below no dn(k) at all.
+    two families and within each family, so up(1..N) ∪ dn(1..N) is one
+    antichain, and e·up(n) sits below no up(k) with 0 < k < n and below no
+    dn(k) at all.  The cost is quadratic in max_n, which is refused past 200.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
+    if max_n > 200:
+        raise ValueError(f"max_n must be at most 200, got {max_n}")
     e = PUNCTURE
     up = [None] + [nf_of_word("g" * k + "e" + "h" * k) for k in range(1, max_n + 1)]
     dn = [None] + [nf_of_word("h" * k + "e" + "g" * k) for k in range(1, max_n + 1)]
@@ -229,13 +235,8 @@ def check_nc(max_n: int) -> bool:
             return False
         if nf_mul(e, dn[n]) != nf_mul(dn[n], e):
             return False
-    for m in range(1, max_n + 1):
-        for n in range(1, max_n + 1):
-            if natural_leq(up[m], dn[n]) or natural_leq(dn[n], up[m]):
-                return False
-            if m != n:
-                if natural_leq(up[m], up[n]) or natural_leq(dn[m], dn[n]):
-                    return False
+    if any(natural_leq(x, y) for x, y in itertools.permutations(up[1:] + dn[1:], 2)):
+        return False
     for n in range(1, max_n + 1):
         eup = nf_mul(e, up[n])
         for k in range(1, n):
@@ -435,29 +436,27 @@ def chain_search(
     frontier = [start]
     explored = 1
     pruned = 0
-    for depth in range(1, max_length + 1):
+    depth = None
+    for level in range(1, max_length + 1):
         nxt = []
-        for w in frontier:
-            for c, d in directed(w):
-                for t in divide_left(c, w):
-                    successor = nf_mul(d, t)
-                    if successor == target:
-                        return ChainReport(
-                            n, y_index, True, explored, depth, pruned,
-                            max_excluded, max_magnitude, max_length, False,
-                        )
-                    if successor in visited:
-                        continue
-                    if not within_bounds(successor):
-                        pruned += 1
-                        continue
-                    visited.add(successor)
-                    nxt.append(successor)
-                    explored += 1
+        for successor in (nf_mul(d, t) for w in frontier
+                          for c, d in directed(w) for t in divide_left(c, w)):
+            if successor == target:
+                depth = level
+                break
+            if successor in visited:
+                continue
+            if not within_bounds(successor):
+                pruned += 1
+                continue
+            visited.add(successor)
+            nxt.append(successor)
+            explored += 1
         frontier = nxt
-        if not frontier:
+        if depth is not None or not frontier:
             break
+    reached = depth is not None
     return ChainReport(
-        n, y_index, False, explored, None, pruned,
-        max_excluded, max_magnitude, max_length, not frontier,
+        n, y_index, reached, explored, depth, pruned,
+        max_excluded, max_magnitude, max_length, not reached and not frontier,
     )

@@ -129,7 +129,10 @@ def parse_partition(text: str) -> Partition:
         for point, name in ((label, str(label)), (-label, f"{label}'")):
             if point not in points_seen:
                 raise ParseError(f"point {name} missing", len(text))
-    return Partition(n, blocks)
+    # Every point was seen once, so sorting makes the blocks canonical.
+    return Partition._from_internal(n, tuple(sorted(
+        tuple(sorted(p if p > 0 else n - p for p in block)) for block in blocks
+    )))
 
 
 def parse_nf(text: str) -> NF:
@@ -206,9 +209,6 @@ def render_partition(a: Partition) -> str:
 
     def node(p):
         return f"u{p}" if p <= n else f"l{p - n}"
-
-    def label(p):
-        return str(p) if p <= n else f"{p - n}'"
 
     lines = ["graph partition {"]
     lines.append("  rankdir=TB;")

@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 from monoidkit.cli import main
 
 
@@ -78,6 +80,25 @@ def test_cong_close_unrelated_witness(capsys):
     )
     assert code == 1
     assert "NOT-RELATED" in out
+
+
+def test_cong_close_witness_refused_before_any_output(capsys):
+    pair = ("--pair", "[1,2]", "[1,1]")
+    code, out, err = run(
+        capsys, "cong-close", "--kind", "T", "--n", "2", *pair, "--witness", "[1,2,3]", "[1,2,3]",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: PartialMap([1,2,3]) is not an element of this monoid\n"
+    code, out, err = run(
+        capsys, "cong-close", "--kind", "T", "--n", "2", *pair, "--witness", "[1,x]", "[1,1]",
+    )
+    assert (code, out) == (2, "")
+    assert err == "parse error: position 3: expected a digit\n"
+
+
+def test_meet_left_on_t0_is_the_identity(capsys):
+    code, out, _ = run(capsys, "meet", "--kind", "T", "--side", "L", "--verify", "[]", "[]")
+    assert (code, out) == (0, "[]\nverified\n")
 
 
 def test_annihilator_command(capsys):
@@ -203,6 +224,21 @@ def test_pmonoid_nc_negative_bound(capsys):
     code, out, err = run(capsys, "pmonoid", "nc", "--max-n", "-5")
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (("pmonoid", "nc", "--max-n", "201"), "max_n must be at most 200"),
+        (("pmonoid", "relations", "--max-k", "100001"), "max_k must be at most 100000"),
+        (("verify", "nc", "--max-n", "1000000000000"), "max_n must be at most 200"),
+        (("verify", "presentation", "--max-k", "100001"), "max_k must be at most 100000"),
+    ],
+)
+def test_checker_bounds_past_their_cost_limit_refused(capsys, argv, bound):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bound}, got ")
 
 
 def test_pmonoid_chain_negative_length(capsys):

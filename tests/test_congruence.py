@@ -13,7 +13,7 @@ from monoidkit.congruence import (
     subact_generators,
     y_sequence,
 )
-from monoidkit.elements import PartialMap, Partition, find, generators
+from monoidkit.elements import PartialMap, Partition, find, generators, min_root_join
 from monoidkit.ideals import meet, verify_meet
 from monoidkit.order import generalized_inverses, leq_oracle
 from monoidkit.verify import cached_monoid, delta
@@ -497,6 +497,28 @@ def test_kappa_matches_orbit_pair_definition(kind, n):
     S = cached_monoid(kind, n)
     for s in S.elements:
         assert kappa(S, s).eqrel == _kappa_by_orbit_pairs(S, s), s
+
+
+def _kappa_by_orbit_owners(S, s):
+    """kappa from orbit-owner links: each u is linked to the first owner of
+    every member of its power orbit."""
+    powers, cur = [], 0
+    while cur not in powers:
+        powers.append(cur)
+        cur = S.mul_idx(cur, S.index_of(s))
+    owner = {}
+    links = [
+        (u, owner.setdefault(w, u)) for u in range(len(S)) for w in {S.mul_idx(p, u) for p in powers}
+    ]
+    return tuple(min_root_join(len(S), links))
+
+
+@pytest.mark.parametrize("kind,n", [("T", 3), ("PT", 3), ("I", 3), ("P", 2)])
+def test_kappa_matches_orbit_owner_links(kind, n):
+    """Links from the one row of s give the classes the orbit owners give."""
+    S = cached_monoid(kind, n)
+    for s in S.elements:
+        assert kappa(S, s).eqrel == _kappa_by_orbit_owners(S, s), s
 
 
 def test_kappa_equals_closure_pt2(PT2):

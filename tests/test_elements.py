@@ -163,14 +163,38 @@ def test_star_laws_sampled_p3():
 
 def test_star_matches_canonical_swap():
     """The star builds its blocks in canonical order without `_canonical`;
-    the validating build of the swapped blocks is its oracle."""
+    the canonical form of the swapped blocks is its oracle."""
     for n in (2, 3):
         for a in enumerate_elements("P", n):
             swapped = [[p + n if p <= n else p - n for p in block] for block in a.blocks]
-            want = Partition._from_internal(n, swapped)
+            want = Partition._from_internal(n, Partition._canonical(n, swapped))
             got = a.star()
             assert got == want and got.blocks == want.blocks == Partition._canonical(n, got.blocks)
             assert type(got.blocks) is tuple and all(type(block) is tuple for block in got.blocks)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_trusted_partitions_are_canonical(n):
+    """Every partition built without validation has the blocks the
+    validating constructor's `_canonical` pass makes of them."""
+    built = [*enumerate_elements("P", n), *generators("P", n), Partition.identity(n)]
+    if n <= 3:
+        built += [embed("I->P", a) for a in enumerate_elements("I", n)]
+    for x in built:
+        assert x.blocks == Partition._canonical(n, x.blocks), x
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_trusted_partial_maps_equal_validated(n):
+    """Every partial map built without validation equals the validated map
+    on its images, tuple for tuple."""
+    built = [PartialMap.identity(n), PartialMap.empty(n)]
+    for kind in ("T", "PT", "I"):
+        built += enumerate_elements(kind, n) + generators(kind, n)
+    built += [a.inverse() for a in enumerate_elements("I", n)]
+    built += [embed("PT->T", a) for a in enumerate_elements("PT", n)]
+    for x in built:
+        assert x == PartialMap(x.images), x
 
 
 def test_associativity_exhaustive():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monoidkit.elements import PartialMap, Partition
+from monoidkit.elements import KINDS, PartialMap, Partition, enumerate_elements
 from monoidkit.ideals import (
     MeetResult,
     meet,
@@ -13,6 +13,7 @@ from monoidkit.ideals import (
     meet_right_pt,
     verify_meet,
 )
+from monoidkit.order import leq_L, leq_R, leq_oracle
 from monoidkit.verify import cached_monoid
 
 from kernel_oracle import dom, join, ker, restrict, upper_blocks
@@ -288,3 +289,38 @@ def test_meet_size_mismatch():
         meet_right_pt(pm(1, 2), pm(1, 2, 3))
     with pytest.raises(ValueError):
         meet_right_partition(Partition.identity(2), Partition.identity(3))
+
+
+# --- the smallest carriers and trusted generators ------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_meets_and_preorders_on_the_smallest_carriers(kind, n):
+    """On T_0 the empty map is the identity, so S*a ∩ S*b is never empty."""
+    S = cached_monoid(kind, n)
+    for a, b in itertools.product(S.elements, repeat=2):
+        for side, leq in (("R", leq_R), ("L", leq_L)):
+            assert verify_meet(S, a, b, meet(kind, side, a, b), side), (a, b, side)
+            assert leq(kind, a, b) == leq_oracle(S, a, b, side).holds, (a, b, side)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_partition_meets_are_canonical(n):
+    els = enumerate_elements("P", n)
+    for a, b in itertools.product(els, repeat=2):
+        for side in ("R", "L"):
+            result = meet("P", side, a, b)
+            if not result.empty:
+                g = result.generator
+                assert g.blocks == Partition._canonical(n, g.blocks), (a, b, side)
+
+
+@pytest.mark.parametrize("kind", ["T", "PT", "I"])
+def test_map_meets_equal_validated(kind):
+    for n in range(4):
+        for a, b in itertools.product(enumerate_elements(kind, n), repeat=2):
+            for side in ("R", "L"):
+                result = meet(kind, side, a, b)
+                if not result.empty:
+                    assert result.generator == PartialMap(result.generator.images), (a, b, side)

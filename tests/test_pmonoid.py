@@ -323,6 +323,42 @@ def test_checkers_refuse_negative_bounds():
     assert check_presentation(0) and check_nc(0)
 
 
+def test_checkers_refuse_bounds_past_their_cost_limit():
+    with pytest.raises(ValueError, match="max_k must be at most 100000, got 100001"):
+        check_presentation(100_001)
+    with pytest.raises(ValueError, match="max_n must be at most 200, got 201"):
+        check_nc(201)
+    with pytest.raises(ValueError, match="at most 200"):
+        check_nc(10 ** 12)
+
+
+def _up(k):
+    return nf_of_word("g" * k + "e" + "h" * k)
+
+
+def _dn(k):
+    return nf_of_word("h" * k + "e" + "g" * k)
+
+
+@pytest.mark.parametrize(
+    "family,pair",
+    [
+        ("up-up", (_up(1), _up(2))),
+        ("dn-dn", (_dn(2), _dn(1))),
+        ("up-dn", (_up(1), _dn(3))),
+        ("dn-up", (_dn(3), _up(1))),
+        ("e.up-up", (nf_mul(PUNCTURE, _up(3)), _up(2))),
+        ("e.up-dn", (nf_mul(PUNCTURE, _up(3)), _dn(1))),
+    ],
+)
+def test_check_nc_sees_a_comparable_pair_in_each_family(monkeypatch, family, pair):
+    """One comparable pair, whichever family it lies in, breaks the
+    conditions; with no comparable pair they hold."""
+    assert check_nc(4)
+    monkeypatch.setattr(pmonoid, "natural_leq", lambda e, f: (e, f) == pair)
+    assert check_nc(4) is False, family
+
+
 def test_presentation_sides_match_words():
     # The word-built sweep is the oracle for the closed-form blocks.
     for max_k in (0, 1, 60):

@@ -84,6 +84,25 @@ partitions = st.integers(1, 4).flatmap(
 )
 
 
+partition_pairs = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        *[st.lists(st.integers(0, max(2 * n - 1, 0)), min_size=2 * n, max_size=2 * n).map(
+            lambda labels: _partition(n, labels)
+        )] * 2
+    )
+)
+
+
+@deterministic
+@given(partition_pairs)
+def test_products_and_stars_are_canonical(pair):
+    """Products and stars are built without `_canonical`, which referees
+    their blocks."""
+    a, b = pair
+    for x in (a * b, a.star(), (a * b).star()):
+        assert x.blocks == Partition._canonical(x.n, x.blocks)
+
+
 @deterministic
 @given(st.one_of(nfs, partial_maps, partitions))
 @example(Partition(0, []))
@@ -248,6 +267,7 @@ cli_texts = st.one_of(
 kinds = st.sampled_from(["T", "PT", "I", "P"])
 sides = st.sampled_from(["R", "L"])
 small = st.integers(-3, 12).map(str)
+huge = st.integers(-3, 10 ** 12).map(str)
 
 
 def _chain_argv(n, *bounds):
@@ -267,8 +287,8 @@ cli_argvs = st.one_of(
     st.builds(lambda text: ["render", text], cli_texts),
     st.builds(lambda nf, u, v: ["pmonoid", "ann", *(["--nf"] if nf else []), u, v],
               st.booleans(), cli_texts, cli_texts),
-    st.builds(lambda k: ["pmonoid", "relations", "--max-k", k], small),
-    st.builds(lambda n: ["pmonoid", "nc", "--max-n", n], small),
+    st.builds(lambda k: ["pmonoid", "relations", "--max-k", k], huge),
+    st.builds(lambda n: ["pmonoid", "nc", "--max-n", n], huge),
     st.builds(_chain_argv, small, *[st.none() | small] * 4),
 )
 

@@ -203,6 +203,30 @@ def test_round_trip_random_nfs():
         assert parse_nf(format_nf(nf)) == nf
 
 
+@pytest.mark.parametrize(
+    "text,n,signed",
+    [
+        ("{2' 1}{2 1'}", 2, [[-2, 1], [2, -1]]),
+        ("{1'}{1}", 1, [[-1], [1]]),
+        ("{ 3' 3 }{1' 2}{1}{2'}", 3, [[-3, 3], [-1, 2], [1], [-2]]),
+        ("{2'}{2 1 1'}", 2, [[-2], [2, 1, -1]]),
+        ("", 0, []),
+    ],
+)
+def test_parsed_partition_is_canonical(text, n, signed):
+    """The parser builds its partition without the validating constructor;
+    that constructor, on the same signed blocks, is its oracle."""
+    x = parse_partition(text)
+    assert x == Partition(n, signed)
+    assert x.blocks == Partition._canonical(n, x.blocks)
+
+
+def test_parsed_canonical_texts_keep_their_blocks():
+    for n in range(4):
+        for x in enumerate_elements("P", n):
+            assert parse_partition(str(x)).blocks == x.blocks
+
+
 def test_canonical_text_is_fixed_point():
     for text in ("[2,_,1]", "{1 2'}{2}{1'}", "{-2,-1};+2"):
         kind = {"[": "PT", "{": "P" if "'" in text else "NF"}[text[0]]
