@@ -40,14 +40,15 @@ class FiniteMonoid:
 
     Product rows and principal right ideals are cached; row i lists the
     indices of elements[i] * x for every x, and an ideal is an int bitmask
-    over the indices.  Without generators every row is computed with `*` on
-    the elements (overridable).  A full monoid records its standard
+    over the indices.  A row is a `bytes` object on at most 256 elements
+    and a list on more.  Without generators every row is computed with `*`
+    on the elements (overridable).  A full monoid records its standard
     generators.  Its first rows, as many as it has generators, are computed
     by products, so a closure or an annihilator that reads a row or two pays
     nothing more.  Past those, the generators' rows are computed by products
     too, and every other row is composed from them along the left factor
-    tree.  Left columns and left ideals are the rows and right ideals of
-    `opposite()`.
+    tree (for `bytes` rows, by one `bytes.translate` each).  Left columns
+    and left ideals are the rows and right ideals of `opposite()`.
     """
 
     def __init__(self, elements, mul=None, check=True):
@@ -100,7 +101,7 @@ class FiniteMonoid:
             raise ValueError(f"{x!r} is not an element of this monoid") from None
 
     def row(self, i):
-        """Indices of a*x for every x, a = elements[i]; the cached list, not
+        """Indices of a*x for every x, a = elements[i]; the cached row, not
         to be modified."""
         row = self._rows[i]
         if row is None:
@@ -117,14 +118,18 @@ class FiniteMonoid:
             row = [self._index[self._mul_fn(a, b)] for b in self.elements]
         except KeyError as exc:
             raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
+        if len(row) <= 256:
+            row = bytes(row)
         self._rows[i] = row
         self._product_rows += 1
         return row
 
     def _left_factor_tree(self):
-        """(gen, parent): for every element x but the identity a generator
-        gen[x] and an element parent[x], nearer the identity in breadth-first
-        order, with x = gen[x]*parent[x]."""
+        """(gen, parent, tables): for every element x but the identity a
+        generator gen[x] and an element parent[x], nearer the identity in
+        breadth-first order, with x = gen[x]*parent[x]; and for each
+        generator g its row, padded to a 256-byte translation table where
+        rows are bytes."""
         if self._tree is None:
             m = len(self.elements)
             gen_rows = [(g, self._rows[g] or self._product_row(g)) for g in self._generators]
@@ -141,13 +146,15 @@ class FiniteMonoid:
                         order.append(x)
             if len(order) < m:
                 raise ValueError(f"the generators reach {len(order)} of {m} elements")
+            small = m <= 256
             if self._rows[0] is None:
-                self._rows[0] = list(range(m))
-            self._tree = (gen, parent)
+                self._rows[0] = bytes(range(m)) if small else list(range(m))
+            tables = {g: row.ljust(256, b"\0") if small else row for g, row in gen_rows}
+            self._tree = (gen, parent, tables)
         return self._tree
 
     def _composed_row(self, i):
-        gen, parent = self._left_factor_tree()
+        gen, parent, tables = self._left_factor_tree()
         rows = self._rows
         path = []
         x = i
@@ -155,7 +162,9 @@ class FiniteMonoid:
             path.append(x)
             x = parent[x]
         for x in reversed(path):
-            rows[x] = list(map(rows[gen[x]].__getitem__, rows[parent[x]]))
+            above = rows[parent[x]]
+            table = tables[gen[x]]
+            rows[x] = above.translate(table) if type(above) is bytes else list(map(table.__getitem__, above))
         return rows[i]
 
     def mul_idx(self, i, j):

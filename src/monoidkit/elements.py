@@ -247,10 +247,11 @@ class Partition:
         return hash((self.n, self.blocks))
 
     def __str__(self):
-        return "".join(
-            "{%s}" % " ".join(_point_text(p, self.n) for p in block)
+        n = self.n  # each point as `_point_text` names it, without the calls
+        return "".join([
+            "{%s}" % " ".join([str(p) if p <= n else f"{p - n}'" for p in block])
             for block in self.blocks
-        )
+        ])
 
     def __repr__(self):
         return f"Partition({self.n}, '{self}')"

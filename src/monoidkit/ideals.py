@@ -123,20 +123,42 @@ def meet_right_partition(a: Partition, b: Partition) -> MeetResult:
 
 
 def meet_left_partition(a: Partition, b: Partition) -> MeetResult:
-    """Left-sided meet, transported through the row-swapping involution."""
-    result = meet_right_partition(a.star(), b.star())
-    if result.empty:
-        return result
-    return MeetResult.found(result.generator.star())
+    """Generator of P·a ∩ P·b: the right meet read on the lower row.
+
+    Blocks are ascending, so a block's lower points are its suffix and a
+    block is lower-only iff its first point is.  The intersection is empty
+    unless every lower-only block of a or of b is a whole class of the
+    joined lower-row classes.  When it is, those blocks plus every other
+    joined class, anchored at the upper copy of its minimum, generate it.
+    """
+    _check_sizes(a, b)
+    n = a.n
+    both = a.blocks + b.blocks
+    links = ((p - n - 1, block[-1] - n - 1) for block in both for p in block[:-1] if p > n)
+    roots = min_root_join(n, links)
+    classes = {}
+    for x, r in enumerate(roots):
+        classes.setdefault(r, []).append(n + x + 1)
+    lower = {block for block in both if block[0] > n}
+    if any(len(classes[roots[block[0] - n - 1]]) != len(block) for block in lower):
+        return MeetResult.nothing()
+    kept = {roots[block[0] - n - 1] for block in lower}
+    # Each upper point, alone or heading its class, then the kept classes by
+    # minimum: the blocks are canonical.
+    blocks = [(x + 1, *classes[x]) if x in classes and x not in kept else (x + 1,) for x in range(n)]
+    blocks.extend(tuple(cls) for r, cls in classes.items() if r in kept)
+    return MeetResult.found(Partition._from_internal(n, tuple(blocks)))
 
 
 def meet(kind, side, a, b) -> MeetResult:
+    if side == "L" and kind != "P":
+        return meet_left(kind, a, b)  # checks both kinds itself
     require_kind(a, kind)
     require_kind(b, kind)
     if side == "R":
         return meet_right_partition(a, b) if kind == "P" else meet_right_pt(a, b)
     if side == "L":
-        return meet_left_partition(a, b) if kind == "P" else meet_left(kind, a, b)
+        return meet_left_partition(a, b)
     raise ValueError(f"side must be 'R' or 'L', got {side!r}")
 
 

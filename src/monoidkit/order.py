@@ -4,9 +4,10 @@
 (None included) must determine a's, and no point may be defined under a but
 not under b; for partitions, the upper part of every mixed block of b must
 lie in one block of a, and every upper-only block of b must be one of a's.
-`leq_L` is image containment for maps.  For partitions the left side,
-preorder and meet alike, is the right side transported through the
-row-swapping anti-involution `star`.  `leq_oracle` answers the same
+`leq_L` is image containment for maps; for partitions it is the mirror
+of `leq_R` read on the lower row, with no element rebuilt: the lower part
+of every mixed block of b must lie in one block of a, and every lower-only
+block of b must be one of a's.  `leq_oracle` answers the same
 question by exhaustive multiplier search over an enumerated monoid and
 returns the witness it finds.
 """
@@ -74,8 +75,35 @@ def leq_L(kind, a, b) -> bool:
     """a is a left multiple of b."""
     _check_pair(kind, a, b)
     if kind == "P":
-        return leq_R("P", a.star(), b.star())
+        return _leq_L_partition(a, b)
     return a.im() <= b.im()
+
+
+def _leq_L_partition(a, b):
+    """Blocks are ascending, so a block's lower points are its suffix and a
+    block is lower-only iff its first point is."""
+    n = a.n
+    label = [0] * (2 * n + 1)
+    lower_only = set()
+    for k, block in enumerate(a.blocks):
+        if block[0] > n:
+            lower_only.add(block)
+        for p in reversed(block):
+            if p <= n:
+                break
+            label[p] = k
+    for block in b.blocks:
+        if block[0] > n:
+            if block not in lower_only:
+                return False
+        elif block[-1] > n:
+            k = label[block[-1]]
+            for p in reversed(block):
+                if p <= n:
+                    break
+                if label[p] != k:
+                    return False
+    return True
 
 
 def leq_oracle(S, a, b, side="R") -> OrderVerdict:

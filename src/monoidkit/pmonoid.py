@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from .congruence import YSequence
 from .elements import PartialMap
-from .order import natural_leq
 
 
 @dataclass(frozen=True)
@@ -235,17 +234,25 @@ def check_nc(max_n: int) -> bool:
             return False
         if nf_mul(e, dn[n]) != nf_mul(dn[n], e):
             return False
-    if any(natural_leq(x, y) for x, y in itertools.permutations(up[1:] + dn[1:], 2)):
+    # Each idempotent is proved so once; comparisons then cost two products.
+    family = up[1:] + dn[1:]
+    if not all(nf_mul(x, x) == x for x in family):
+        return False
+    if any(_below(x, y) for x, y in itertools.permutations(family, 2)):
         return False
     for n in range(1, max_n + 1):
         eup = nf_mul(e, up[n])
-        for k in range(1, n):
-            if natural_leq(eup, up[k]):
-                return False
-        for k in range(1, n + 1):
-            if natural_leq(eup, dn[k]):
-                return False
+        if nf_mul(eup, eup) != eup:
+            return False
+        if any(_below(eup, up[k]) for k in range(1, n)) or any(_below(eup, dn[k]) for k in range(1, n + 1)):
+            return False
     return True
+
+
+def _below(e, f):
+    """e <= f in the natural order, for idempotents e and f: the products of
+    `order.natural_leq` without its idempotency checks."""
+    return nf_mul(f, e) == e and nf_mul(e, f) == e
 
 
 @dataclass(frozen=True)

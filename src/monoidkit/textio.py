@@ -10,10 +10,16 @@ Grammars (sizes are inferred from the content):
 Parsing any canonical serialization returns an equal element, and
 re-serializing a parsed element reproduces canonical text.
 
-Digits are ASCII 0-9 only.  Each parser reads its text once, item by item.
-Text outside the grammar raises `ParseError`, whose position lies in
-0..len(text); the CLI prints it as `parse error: position P: reason` and
-exits with status 2.
+Digits are ASCII 0-9 only.  Each parser first matches the whole text
+against one compiled pattern of its grammar; a match is read with
+`str.split` and `int`, then checked for range, repeats and completeness.
+Any other text, and any text that fails those checks, goes to the
+item-by-item reader (`_read_partial_map`, `_read_partition`, `_read_nf`),
+which alone reports errors in these grammars.  Text outside a grammar
+raises `ParseError`, whose position lies in 0..len(text); the CLI prints
+it as `parse error: position P: reason` and exits with status 2.  Both
+paths run in time linear in the text: no pattern can backtrack into a
+digit run it has already read.
 """
 
 from __future__ import annotations
@@ -41,6 +47,14 @@ _SHIFT = re.compile(r"[+-]?([0-9]*)")
 _IMAGE = re.compile(r" *(?:(_)|([0-9]*)) *")
 _POINT = re.compile(r" *([0-9]*)(')? *")
 
+# Whole texts in each grammar.  A point's digit run may not end before a
+# digit, so a run of digits is read one way only.
+_MAP_ITEM = r" *(?:_|[0-9]+) *"
+_MAP_TEXT = re.compile(rf"\[(?: *|{_MAP_ITEM}(?:,{_MAP_ITEM})*)\]")
+_PARTITION_TEXT = re.compile(r"(?:\{ *(?:[0-9]+(?![0-9])'? *)+\})+")
+_NF_ITEM = r" *[+-]?[0-9]+ *"
+_NF_TEXT = re.compile(rf"\{{(?: *|{_NF_ITEM}(?:,{_NF_ITEM})*)\}};[+-]?[0-9]+")
+
 
 def _int(numeral, at):
     """A numeral's value; past Python's digit limit, a parse error at `at`."""
@@ -61,6 +75,19 @@ def _expect_end(text, pos):
 
 
 def parse_partial_map(text: str) -> PartialMap:
+    if _MAP_TEXT.fullmatch(text):
+        items = text[1:-1].split(",") if text[1:-1].strip() else ()
+        try:
+            images = [None if "_" in item else int(item) for item in items]
+        except ValueError:  # a numeral past int()'s digit limit
+            return _read_partial_map(text)
+        n = len(images)
+        if all(v is None or 0 < v <= n for v in images):
+            return PartialMap._from_internal(tuple(images))
+    return _read_partial_map(text)
+
+
+def _read_partial_map(text: str) -> PartialMap:
     _take(text, 0, "[")
     images = []
     m = _IMAGE.match(text, 1)
@@ -93,6 +120,31 @@ def parse_partial_map(text: str) -> PartialMap:
 
 
 def parse_partition(text: str) -> Partition:
+    if _PARTITION_TEXT.fullmatch(text):
+        try:
+            blocks = [
+                [-int(item[:-1]) if item[-1] == "'" else int(item) for item in chunk.split()]
+                for chunk in text[1:-1].replace("'", "' ").split("}{")
+            ]
+        except ValueError:  # a numeral past int()'s digit limit
+            return _read_partition(text)
+        points = {p for block in blocks for p in block}
+        n = len(points) // 2
+        # Distinct nonzero points, 2n of them in -n..n, are all the points.
+        distinct = len(points) == sum(map(len, blocks)) == 2 * n
+        if distinct and 0 not in points and max(points) == n == -min(points):
+            return _canonical_partition(n, blocks)
+    return _read_partition(text)
+
+
+def _canonical_partition(n, blocks):
+    """Every point of -n..n but 0 once, as signed blocks, in canonical form."""
+    return Partition._from_internal(n, tuple(sorted(
+        [tuple(sorted([p if p > 0 else n - p for p in block])) for block in blocks]
+    )))
+
+
+def _read_partition(text: str) -> Partition:
     blocks = []
     points_seen = set()
     max_label = 0
@@ -129,13 +181,24 @@ def parse_partition(text: str) -> Partition:
         for point, name in ((label, str(label)), (-label, f"{label}'")):
             if point not in points_seen:
                 raise ParseError(f"point {name} missing", len(text))
-    # Every point was seen once, so sorting makes the blocks canonical.
-    return Partition._from_internal(n, tuple(sorted(
-        tuple(sorted(p if p > 0 else n - p for p in block)) for block in blocks
-    )))
+    # Every point was seen once.
+    return _canonical_partition(n, blocks)
 
 
 def parse_nf(text: str) -> NF:
+    if _NF_TEXT.fullmatch(text):
+        inner, shift = text[1:].split("};")
+        items = inner.split(",") if inner.strip() else ()
+        try:
+            excluded, shift = set(map(int, items)), int(shift)
+        except ValueError:  # a numeral past int()'s digit limit
+            return _read_nf(text)
+        if len(excluded) == len(items):
+            return NF._from_internal(tuple(sorted(excluded)), shift)
+    return _read_nf(text)
+
+
+def _read_nf(text: str) -> NF:
     _take(text, 0, "{")
     excluded = set()
     m = _SIGNED.match(text, 1)

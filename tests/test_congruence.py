@@ -82,7 +82,7 @@ def test_opposite_is_cached_and_shares_the_index():
     assert op.elements is S.elements and op._index is S._index
     assert op._generators == S._generators
     assert op._rows is not S._rows and op._right_ideals is not S._right_ideals
-    assert op.row(4) == _column(S, 4) and S._rows[4] is None
+    assert list(op.row(4)) == _column(S, 4) and S._rows[4] is None
 
 
 def test_left_queries_fill_no_row_of_the_monoid():
@@ -110,8 +110,30 @@ def test_composed_rows_and_tree_columns_match_products(build):
     direct = FiniteMonoid(S.elements, mul=S._mul_fn, check=False)  # no generators
     m = len(S)
     op = S.opposite()  # columns are the opposite's rows, composed on its own tree
-    assert [op.row(j) for j in range(m)] == [_column(direct, j) for j in range(m)]
+    assert [list(op.row(j)) for j in range(m)] == [_column(direct, j) for j in range(m)]
     assert [S.row(i) for i in range(m)] == [direct.row(i) for i in range(m)]
+
+
+@pytest.mark.parametrize(
+    "build,row_type",
+    [
+        (lambda: FiniteMonoid.full("T", 4), bytes),  # exactly 256 elements
+        (lambda: FiniteMonoid.full("PT", 4), list),  # 625 elements
+        (lambda: FiniteMonoid(cached_monoid("I", 4).elements), bytes),  # no generators
+    ],
+    ids=["T4", "PT4", "I4-without-generators"],
+)
+def test_every_row_and_column_is_its_product_row(build, row_type):
+    """Rows are bytes on at most 256 elements and lists past that; either
+    way each holds the products' indices, on both sides."""
+    S = build()
+    op = S.opposite()
+    els, index = S.elements, S.index_of
+    for i, a in enumerate(els):
+        row, col = S.row(i), op.row(i)
+        assert type(row) is row_type and type(col) is row_type
+        assert list(row) == [index(a * x) for x in els]
+        assert list(col) == [index(x * a) for x in els]
 
 
 def _members(mask):
@@ -150,7 +172,7 @@ def test_columns_are_cached_and_left_unmodified():
     for j, a in enumerate(S.elements):
         generalized_inverses(S, a)
         S.opposite().right_ideal_idx(j)
-    assert [S.opposite().row(j) for j in range(m)] == [_column(direct, j) for j in range(m)]
+    assert [list(S.opposite().row(j)) for j in range(m)] == [_column(direct, j) for j in range(m)]
 
 
 def test_generators_missing_an_element_refused():

@@ -17,6 +17,7 @@ from monoidkit.order import leq_L, leq_R, leq_oracle
 from monoidkit.verify import cached_monoid
 
 from kernel_oracle import dom, join, ker, restrict, upper_blocks
+from star_oracle import left_side_pairs, meet_left_by_star
 
 
 def pm(*images):
@@ -118,6 +119,23 @@ def test_meet_left_rejects_unknown_kind():
         meet_left("P", pm(1, 2), pm(1, 2))
 
 
+@pytest.mark.parametrize("side", ["R", "L"])
+@pytest.mark.parametrize(
+    "kind,a,b,message",
+    [
+        ("T", pm(1, None), pm(1, 2), "PartialMap([1,_]) is not of kind T"),
+        ("I", pm(1, 2), pm(1, 1), "PartialMap([1,1]) is not of kind I"),
+        ("P", Partition.identity(2), pm(1, 2), "PartialMap([1,2]) is not of kind P"),
+        ("PT", pm(1, 2), pm(1, 2, 3), "size mismatch: 2 vs 3"),
+        ("X", pm(1, 2), pm(1, 2), "unknown kind 'X'"),
+    ],
+)
+def test_meet_refuses_bad_input_alike_on_both_sides(side, kind, a, b, message):
+    with pytest.raises(ValueError) as err:
+        meet(kind, side, a, b)
+    assert str(err.value) == message
+
+
 # --- partition meets -------------------------------------------------------------
 
 
@@ -211,15 +229,10 @@ def test_meet_right_partition_matches_kernel_join_sampled_p5_p6():
 
 
 def test_meet_left_partition_is_star_transport():
-    rng = random.Random(31)
-    p3 = cached_monoid("P", 3).elements
-    for _ in range(100):
-        a, b = rng.choice(p3), rng.choice(p3)
-        left = meet_left_partition(a, b)
-        right = meet_right_partition(a.star(), b.star())
-        assert left.empty == right.empty
-        if not left.empty:
-            assert left.generator == right.generator.star()
+    """Read on the lower row, the left meet is the right meet transported
+    through `star`."""
+    for a, b in left_side_pairs(31):
+        assert meet_left_partition(a, b) == meet_left_by_star(a, b), (a, b)
 
 
 def test_meet_left_partition_principal(P2):

@@ -14,6 +14,7 @@ from monoidkit.order import (
 )
 
 from kernel_oracle import dom, ker, kerhat, leq_R_by_kernels, pairs
+from star_oracle import left_side_pairs, leq_L_by_star
 
 
 def pm(*images):
@@ -94,6 +95,13 @@ def test_characterization_matches_oracle_exhaustively_p3(P3):
     # 203^2 = 41,209 pairs.
     for a, b in itertools.product(P3.elements, repeat=2):
         _assert_preorders_agree(P3, "P", a, b)
+
+
+def test_leq_L_partition_is_star_transport():
+    """Read on the lower row, the left preorder is the right one transported
+    through `star`."""
+    for a, b in left_side_pairs(37):
+        assert leq_L("P", a, b) == leq_L_by_star(a, b), (a, b)
 
 
 def test_natural_leq_examples():

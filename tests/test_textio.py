@@ -1,6 +1,8 @@
+import itertools
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 import scanner_oracle
@@ -184,6 +186,118 @@ def test_parsers_match_scanner_oracle():
     for name in PARSERS:
         assert seen[name, "ok"] > 20 and seen[name, "parse error"] > 1000 and seen[name, "digit fix"] > 50
     assert seen["parse_nf", "end fix"] > 40
+
+
+READERS = {
+    "parse_partial_map": textio._read_partial_map,
+    "parse_partition": textio._read_partition,
+    "parse_nf": textio._read_nf,
+}
+WHOLE_TEXT = {
+    "parse_partial_map": textio._MAP_TEXT,
+    "parse_partition": textio._PARTITION_TEXT,
+    "parse_nf": textio._NF_TEXT,
+}
+
+
+def _grammar_texts(rng, count):
+    """Texts built item by item in one of the three grammars: random spaces,
+    leading zeros, zeros, out-of-range points, repeats and omissions, and
+    every third text with one character replaced."""
+
+    def zeros():
+        return "0" * rng.choice((0, 0, 0, 1, 2))
+
+    def spaces():
+        return " " * rng.choice((0, 0, 0, 1, 2))
+
+    for _ in range(count):
+        grammar = rng.randrange(3)
+        if grammar == 0:
+            items = [
+                spaces() + ("_" if rng.random() < 0.2 else zeros() + str(rng.randint(0, 5))) + spaces()
+                for _ in range(rng.randint(0, 5))
+            ]
+            text = "[" + (",".join(items) or spaces()) + "]"
+        elif grammar == 1:
+            n = rng.randint(0, 4)
+            points = [(x, prime) for x in range(1, n + 1) for prime in ("", "'")]
+            if points and rng.random() < 0.3:
+                points.remove(rng.choice(points))
+            if rng.random() < 0.3:
+                points.append((rng.randint(0, n + 1), rng.choice(("", "'"))))
+            rng.shuffle(points)
+            names = [spaces() + zeros() + str(x) + prime + spaces() for x, prime in points]
+            cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, max(len(names) - 1, 0))))
+            bounds = zip([0] + cuts, cuts + [len(names)])
+            text = "".join("{" + "".join(names[i:j]) + "}" for i, j in bounds if i < j)
+        else:
+            items = [
+                spaces() + rng.choice(("", "+", "-")) + zeros() + str(rng.randint(0, 4)) + spaces()
+                for _ in range(rng.randint(0, 4))
+            ]
+            shift = rng.choice(("", "+", "-")) + zeros() + str(rng.randint(0, 9))
+            text = "{" + (",".join(items) or spaces()) + "};" + shift
+        if text and rng.random() < 1 / 3:
+            j = rng.randrange(len(text))
+            text = text[:j] + rng.choice(FUZZ_ALPHABET) + text[j + 1:]
+        yield text
+
+
+def test_whole_text_path_matches_item_reader():
+    """On fuzzed text each parser gives the item-by-item reader's element or
+    (reason, position).  Many texts take the whole-text path to an element,
+    and many match a whole-text pattern yet fail its checks."""
+    rng = random.Random(53)
+    seen = {}
+    for text in itertools.chain(_fuzz_texts(rng, 10000), _grammar_texts(rng, 20000)):
+        for name in PARSERS:
+            got = _outcome(getattr(textio, name), text)
+            assert got == _outcome(READERS[name], text), (name, text, got)
+            key = name, got[0], bool(WHOLE_TEXT[name].fullmatch(text))
+            seen[key] = seen.get(key, 0) + 1
+    for name in PARSERS:
+        assert seen[name, "ok", True] > 1000 and seen[name, "parse error", True] > 300, seen
+
+
+@pytest.mark.parametrize(
+    "name,text,outcome",
+    [
+        ("parse_partition", "{3' 04}{4' 4}{3}{2' 1' 1}", ("parse error", "point 4 repeated", 11)),
+        ("parse_partition", "{1'2}{1 2'}", ("ok", Partition(2, [[-1, 2], [1, -2]]))),
+        ("parse_partial_map", "[ ]", ("ok", PartialMap([]))),
+        ("parse_nf", "{ };+0", ("ok", NF((), 0))),
+        ("parse_partial_map", f"[{LONG}]", None),
+        ("parse_partition", f"{{1 1'}}{{{LONG}'}}", None),
+        ("parse_nf", f"{{-{LONG}}};+0", None),
+        ("parse_nf", f"{{}};+{LONG}", None),
+        ("parse_nf", f"{{}};+{'0' * 5000}1", None),
+    ],
+    ids=["repeat-with-leading-zero", "prime-before-digit", "blank-map", "blank-nf",
+         "long-image", "long-point", "long-excluded", "long-shift", "long-zero-run"],
+)
+def test_whole_text_path_named_cases(name, text, outcome):
+    """Texts that tripped earlier whole-text readers: numerals compared as
+    strings, a prime directly before a digit, blank item lists, and numerals
+    past Python's integer string limit (the outcome depends on the Python)."""
+    got = _outcome(getattr(textio, name), text)
+    assert got == _outcome(READERS[name], text)
+    if outcome is not None:
+        assert got == outcome
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{" + "1" * 10000 + "x", "{" + "1 " * 5000 + "x", "[" + "1, " * 5000 + "x"],
+    ids=["digit-run", "spaced-points", "map-items"],
+)
+def test_hostile_text_refused_quickly(text):
+    """No whole-text pattern backtracks through a long digit or item run."""
+    for name in PARSERS:
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            getattr(textio, name)(text)
+        assert time.perf_counter() - start < 0.25, name
 
 
 def test_round_trip_pt3_and_p2():
