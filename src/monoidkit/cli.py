@@ -100,9 +100,14 @@ def _parse_many(kind, texts):
     return elements
 
 
-def _print_classes(congruence):
-    for cls in congruence.classes_elements():
-        print("\t".join(format_element(x) for x in cls))
+def _print_rows(rows):
+    for row in rows:
+        print("\t".join(format_element(x) for x in row))
+
+
+def _print_witness(seq):
+    print(f"witness\t{len(seq)} steps")
+    _print_rows(seq.steps)
 
 
 def cmd_mul(args) -> int:
@@ -159,15 +164,13 @@ def cmd_cong_close(args) -> int:
     for x in witness:
         S.index_of(x)  # a non-member is refused before any output
     rho = rc_close(S, pairs)
-    _print_classes(rho)
+    _print_rows(rho.classes_elements())
     if witness:
         seq = y_sequence(rho, *witness)
         if seq is None:
             print("NOT-RELATED")
             return 1
-        print(f"witness\t{len(seq)} steps")
-        for c, d, t in seq.steps:
-            print("\t".join(format_element(z) for z in (c, d, t)))
+        _print_witness(seq)
     return 0
 
 
@@ -176,17 +179,13 @@ def cmd_annihilator(args) -> int:
     elem = parse_element(args.kind, args.elem)
     pairs = _parse_pairs(args.kind, args.n, args.pair)
     rho = rc_close(S, pairs) if pairs else delta(S)
-    _print_classes(annihilator(S, rho, elem))
+    _print_rows(annihilator(S, rho, elem).classes_elements())
     return 0
 
 
 def cmd_pmonoid(args) -> int:
-    if args.pm_command == "relations":
-        ok = check_presentation(args.max_k)
-        print("true" if ok else "false")
-        return 0 if ok else 1
-    if args.pm_command == "nc":
-        ok = check_nc(args.max_n)
+    if args.pm_command in ("relations", "nc"):
+        ok = check_presentation(args.max_k) if args.pm_command == "relations" else check_nc(args.max_n)
         print("true" if ok else "false")
         return 0 if ok else 1
     if args.pm_command == "ann":
@@ -199,10 +198,7 @@ def cmd_pmonoid(args) -> int:
             return 1
         side = f" side={verdict.side}" if verdict.side else ""
         print(f"yes n={verdict.n}{side}")
-        witness = annihilator_witness(u, v)
-        print(f"witness\t{len(witness)} steps")
-        for c, d, t in witness.steps:
-            print("\t".join(format_element(z) for z in (c, d, t)))
+        _print_witness(annihilator_witness(u, v))
         return 0
     if args.pm_command == "chain":
         report = chain_search(

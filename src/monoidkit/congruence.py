@@ -39,7 +39,8 @@ class FiniteMonoid:
     """An enumerated monoid: canonical element list with the identity first.
 
     Product rows and principal right ideals are cached; row i lists the
-    indices of elements[i] * x for every x, and an ideal is an int bitmask
+    indices of elements[i] * x for every x, so the product of indices i and
+    j is `row(i)[j]`, the only product lookup, and an ideal is an int bitmask
     over the indices.  A row is a `bytes` object on at most 256 elements
     and a list on more.  Without generators every row is computed with `*`
     on the elements (overridable).  A full monoid records its standard
@@ -167,12 +168,6 @@ class FiniteMonoid:
             rows[x] = above.translate(table) if type(above) is bytes else list(map(table.__getitem__, above))
         return rows[i]
 
-    def mul_idx(self, i, j):
-        return self.row(i)[j]
-
-    def mul(self, x, y):
-        return self.elements[self.mul_idx(self.index_of(x), self.index_of(y))]
-
     def right_ideal_idx(self, i):
         """a*S for a = elements[i], as a cached int whose bit x is set iff
         elements[x] is in the ideal."""
@@ -299,9 +294,11 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
 
     Every pair is merged at the identity multiplier first, then each pair in
     turn at every other multiplier; each merge is recorded as one instance
-    (c*t, d*t).  Only the product rows of the pairs' own elements are used.
+    (c*t, d*t).  Only the product rows of the pairs' own elements are used,
+    each read once before the sweep.
     """
     pair_idx = [(S.index_of(a), S.index_of(b)) for a, b in pairs]
+    pair_rows = [(S.row(c), S.row(d)) for c, d in pair_idx]
     m = len(S)
     parent = list(range(m))
     edges = []
@@ -311,9 +308,8 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
         ((p, t) for p in range(len(pair_idx)) for t in range(1, m)),
     )
     for p, t in sweep:
-        c, d = pair_idx[p]
-        u = S.mul_idx(c, t)
-        v = S.mul_idx(d, t)
+        row_c, row_d = pair_rows[p]
+        u, v = row_c[t], row_d[t]
         ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
@@ -397,14 +393,12 @@ def kappa(S: FiniteMonoid, s) -> RightCongruence:
     not merely its closure.
     """
     i_s = S.index_of(s)
-    powers = []
-    seen = set()
+    power_rows = {}
     cur = 0
-    while cur not in seen:
-        seen.add(cur)
-        powers.append(cur)
-        cur = S.mul_idx(cur, i_s)
-    orbits = [frozenset(S.mul_idx(p, u) for p in powers) for u in range(len(S))]
+    while cur not in power_rows:
+        row = power_rows[cur] = S.row(cur)
+        cur = row[i_s]
+    orbits = list(map(frozenset, zip(*power_rows.values())))
     labels = min_root_join(len(S), enumerate(S.row(i_s)))
     for cls in _classes(labels):
         for u in cls:

@@ -52,7 +52,7 @@ class PartialMap:
         for v in images:
             if v is None:
                 continue
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if type(v) is not int or not 1 <= v <= n:
                 raise ValueError(f"image {v!r} outside 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
@@ -144,11 +144,13 @@ class Partition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n, signed_blocks):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"size {n!r} is not a non-negative int")
         internal = []
         for block in signed_blocks:
             pts = []
             for p in block:
-                if not isinstance(p, int) or p == 0 or abs(p) > n:
+                if type(p) is not int or p == 0 or abs(p) > n:
                     raise ValueError(f"point {p!r} outside ±1..±{n}")
                 pts.append(p if p > 0 else n - p)
             internal.append(pts)
@@ -276,6 +278,14 @@ def is_kind(x, kind) -> bool:
 def require_kind(x, kind):
     if not is_kind(x, kind):
         raise ValueError(f"{x!r} is not of kind {kind}")
+
+
+def check_pair(kind, a, b):
+    """Refuse an argument pair unless both are of the kind and the same size."""
+    require_kind(a, kind)
+    require_kind(b, kind)
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
 
 
 def identity_of(kind, n):

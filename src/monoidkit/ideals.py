@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import FiniteMonoid
-from .elements import PartialMap, Partition, min_root_join, require_kind
+from .elements import PartialMap, Partition, check_pair, min_root_join, require_kind
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,6 @@ class MeetResult:
         return cls(None, True)
 
 
-def _check_sizes(a, b):
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-
-
 def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
     """Generator of aS ∩ bS for partial maps (total and injective included).
 
@@ -50,7 +45,7 @@ def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
     its image, under a and then under b.  Each image is then a class
     minimum plus one, a point of 1..n, so the result needs no re-validation.
     """
-    _check_sizes(a, b)
+    check_pair("PT", a, b)
 
     def links():
         for images in (a.images, b.images):
@@ -77,18 +72,13 @@ def meet_left(kind, a, b) -> MeetResult:
     fixing its members and sending everything else to its minimum.  On no
     points the empty map is the identity and generates both ideals.
     """
-    require_kind(a, kind)
-    require_kind(b, kind)
-    _check_sizes(a, b)
-    common = a.im() & b.im()
-    if kind in ("PT", "I"):
-        fill = None
-    elif kind == "T":
-        if a.n and not common:
-            return MeetResult.nothing()
-        fill = min(common, default=None)
-    else:
+    check_pair(kind, a, b)
+    if kind not in ("T", "PT", "I"):
         raise ValueError(f"meet_left does not handle kind {kind!r}")
+    common = a.im() & b.im()
+    if kind == "T" and a.n and not common:
+        return MeetResult.nothing()
+    fill = min(common, default=None) if kind == "T" else None
     return MeetResult.found(
         PartialMap._from_internal(tuple([x if x in common else fill for x in range(1, a.n + 1)]))
     )
@@ -103,7 +93,7 @@ def meet_right_partition(a: Partition, b: Partition) -> MeetResult:
     When it is, those blocks plus every other joined class, anchored at the
     lower copy of its minimum, generate the intersection.
     """
-    _check_sizes(a, b)
+    check_pair("P", a, b)
     n = a.n
     both = a.blocks + b.blocks
     # Blocks are ascending: a block with upper points starts with one.
@@ -131,7 +121,7 @@ def meet_left_partition(a: Partition, b: Partition) -> MeetResult:
     joined lower-row classes.  When it is, those blocks plus every other
     joined class, anchored at the upper copy of its minimum, generate it.
     """
-    _check_sizes(a, b)
+    check_pair("P", a, b)
     n = a.n
     both = a.blocks + b.blocks
     links = ((p - n - 1, block[-1] - n - 1) for block in both for p in block[:-1] if p > n)
@@ -152,9 +142,12 @@ def meet_left_partition(a: Partition, b: Partition) -> MeetResult:
 
 def meet(kind, side, a, b) -> MeetResult:
     if side == "L" and kind != "P":
-        return meet_left(kind, a, b)  # checks both kinds itself
-    require_kind(a, kind)
-    require_kind(b, kind)
+        return meet_left(kind, a, b)
+    if kind not in ("P", "PT") or side not in ("R", "L"):
+        # The meets below check a PT or P pair; this checks T and I elements,
+        # an unknown kind, and the elements ahead of a bad side's error.
+        require_kind(a, kind)
+        require_kind(b, kind)
     if side == "R":
         return meet_right_partition(a, b) if kind == "P" else meet_right_pt(a, b)
     if side == "L":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import require_kind
+from .elements import check_pair
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,9 @@ class OrderVerdict:
     witness: object | None = None
 
 
-def _check_pair(kind, a, b):
-    require_kind(a, kind)
-    require_kind(b, kind)
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-
-
 def leq_R(kind, a, b) -> bool:
     """a is a right multiple of b."""
-    _check_pair(kind, a, b)
+    check_pair(kind, a, b)
     if kind == "P":
         return _leq_R_partition(a, b)
     image_of = {}
@@ -73,7 +66,7 @@ def _leq_R_partition(a, b):
 
 def leq_L(kind, a, b) -> bool:
     """a is a left multiple of b."""
-    _check_pair(kind, a, b)
+    check_pair(kind, a, b)
     if kind == "P":
         return _leq_L_partition(a, b)
     return a.im() <= b.im()

@@ -32,6 +32,8 @@ class NF:
 
     def __post_init__(self):
         ex = self.excluded
+        if type(ex) is not tuple or any(type(x) is not int for x in ex) or type(self.shift) is not int:
+            raise ValueError(f"NF needs a tuple of ints and an int shift, got {ex!r}, {self.shift!r}")
         if any(ex[i] >= ex[i + 1] for i in range(len(ex) - 1)):
             raise ValueError(f"excluded set {ex} must be strictly increasing")
 
@@ -71,17 +73,15 @@ def nf_mul(a: NF, b: NF) -> NF:
     x + a.shift avoids b's punctures.
 
     The excluded set is a's punctures together with b's shifted by
-    -a.shift.  When b has none, or a does not shift and both have the same
-    punctures, it is a's tuple; when a has none, b's tuple shifted by a
-    constant is still strictly increasing.  Otherwise the union is sorted.
+    -a.shift.  When b has none, it is a's tuple; when a has none, b's tuple
+    shifted by a constant is still strictly increasing.  Otherwise the
+    union is sorted.
     """
     s = a.shift
     if not b.excluded:
         excluded = a.excluded
     elif not a.excluded:
         excluded = tuple([x - s for x in b.excluded])
-    elif not s and a.excluded == b.excluded:
-        excluded = a.excluded
     else:
         merged = set(a.excluded)
         merged.update(x - s for x in b.excluded)

@@ -15,7 +15,9 @@ against one compiled pattern of its grammar; a match is read with
 `str.split` and `int`, then checked for range, repeats and completeness.
 Any other text, and any text that fails those checks, goes to the
 item-by-item reader (`_read_partial_map`, `_read_partition`, `_read_nf`),
-which alone reports errors in these grammars.  Text outside a grammar
+which alone reports errors in these grammars.  The map and normal-form
+readers share one bracketed-list reader (`_read_list`), and the map and
+partition readers one point-label check (`_label`).  Text outside a grammar
 raises `ParseError`, whose position lies in 0..len(text); the CLI prints
 it as `parse error: position P: reason` and exits with status 2.  Both
 paths run in time linear in the text: no pattern can backtrack into a
@@ -74,6 +76,31 @@ def _expect_end(text, pos):
         raise ParseError(f"unexpected {text[pos]!r}", pos)
 
 
+def _label(digits, at):
+    """A point label read at `at`: a numeral of at least 1."""
+    if not digits:
+        raise ParseError("expected a digit", at)
+    value = _int(digits, at)
+    if value < 1:
+        raise ParseError("points are numbered from 1", at)
+    return value
+
+
+def _read_list(text, open, close, item, read):
+    """Read `open item,...,item close` from the start of the text, handing
+    each item's match to `read` in turn; the position after `close`.  An
+    item of spaces alone right before `close` is an empty list."""
+    _take(text, 0, open)
+    m = item.match(text, 1)
+    if m.group().strip() or text[m.end():m.end() + 1] != close:
+        read(m)
+        while text[m.end():m.end() + 1] == ",":
+            m = item.match(text, m.end() + 1)
+            read(m)
+    _take(text, m.end(), close)
+    return m.end() + 1
+
+
 def parse_partial_map(text: str) -> PartialMap:
     if _MAP_TEXT.fullmatch(text):
         items = text[1:-1].split(",") if text[1:-1].strip() else ()
@@ -88,29 +115,10 @@ def parse_partial_map(text: str) -> PartialMap:
 
 
 def _read_partial_map(text: str) -> PartialMap:
-    _take(text, 0, "[")
     images = []
-    m = _IMAGE.match(text, 1)
-    if m.group(1) or m.group(2) or text[m.end():m.end() + 1] != "]":
-        while True:
-            if m.group(1):
-                images.append(None)
-            else:
-                digits = m.group(2)
-                if not digits:
-                    raise ParseError("expected a digit", m.start(2))
-                value = _int(digits, m.start(2))
-                if value < 1:
-                    raise ParseError("points are numbered from 1", m.start(2))
-                images.append(value)
-            pos = m.end()
-            if text[pos:pos + 1] != ",":
-                break
-            m = _IMAGE.match(text, pos + 1)
-    else:
-        pos = m.end()
-    _take(text, pos, "]")
-    _expect_end(text, pos + 1)
+    pos = _read_list(text, "[", "]", _IMAGE, lambda m: images.append(
+        None if m.group(1) else _label(m.group(2), m.start(2))))
+    _expect_end(text, pos)
     n = len(images)
     for v in images:
         if v is not None and v > n:
@@ -155,13 +163,8 @@ def _read_partition(text: str) -> Partition:
         block = []
         while True:
             m = _POINT.match(text, pos)
-            digits = m.group(1)
             at = m.start(1)
-            if not digits:
-                raise ParseError("expected a digit", at)
-            label = _int(digits, at)
-            if label < 1:
-                raise ParseError("points are numbered from 1", at)
+            label = _label(m.group(1), at)
             point = -label if m.group(2) else label
             if point in points_seen:
                 name = f"{label}'" if m.group(2) else str(label)
@@ -199,26 +202,19 @@ def parse_nf(text: str) -> NF:
 
 
 def _read_nf(text: str) -> NF:
-    _take(text, 0, "{")
     excluded = set()
-    m = _SIGNED.match(text, 1)
-    if m.group(1) or text[m.end():m.end() + 1] != "}":
-        while True:
-            if not m.group(2):
-                raise ParseError("expected a digit", m.start(2))
-            value = _int(m.group(1), m.start(1))
-            if value in excluded:
-                raise ParseError(f"excluded point {value} repeated", m.start(1))
-            excluded.add(value)
-            pos = m.end()
-            if text[pos:pos + 1] != ",":
-                break
-            m = _SIGNED.match(text, pos + 1)
-    else:
-        pos = m.end()
-    _take(text, pos, "}")
-    _take(text, pos + 1, ";")
-    m = _SHIFT.match(text, pos + 2)
+
+    def read(m):
+        if not m.group(2):
+            raise ParseError("expected a digit", m.start(2))
+        value = _int(m.group(1), m.start(1))
+        if value in excluded:
+            raise ParseError(f"excluded point {value} repeated", m.start(1))
+        excluded.add(value)
+
+    pos = _read_list(text, "{", "}", _SIGNED, read)
+    _take(text, pos, ";")
+    m = _SHIFT.match(text, pos + 1)
     if not m.group(1):
         raise ParseError("expected a digit", m.start(1))
     _expect_end(text, m.end())

@@ -107,8 +107,9 @@ def suite_nc(max_n: int = 50):
 
 
 @suite("nf-mul")
-def suite_nf_mul(seed: int = 0, pair_count: int = 10_000):
+def suite_nf_mul(seed: int = 0):
     """Product rule vs windowed composition on the interior of [-100, 100]."""
+    pair_count = 10_000
     rng = random.Random(seed)
     half = 100
     bad = 0
@@ -198,7 +199,7 @@ def suite_annihilators():
         inverses = generalized_inverses(S, a)
         if not inverses:
             return False, f"{a!r} unexpectedly not regular in PT_3"
-        e = S.mul(inverses[0], a)
+        e = inverses[0] * a
         if annihilator(S, d, a).eqrel != annihilator(S, d, e).eqrel:
             return False, f"r(a) != r(ba) for {a!r}"
         reg_checked += 1
@@ -243,7 +244,8 @@ def _accepted_annihilator_pair(rng):
 
 
 @suite("ann-decision")
-def suite_ann_decision(seed: int = 0, count: int = 1000):
+def suite_ann_decision(seed: int = 0):
+    count = 1000
     rng = random.Random(seed + 9)
     for _ in range(count):
         u, v = _accepted_annihilator_pair(rng)
@@ -305,7 +307,8 @@ def suite_embeddings():
 
 
 @suite("star")
-def suite_star(seed: int = 0, sample: int = 1000):
+def suite_star(seed: int = 0):
+    sample = 1000
     p2 = enumerate_elements("P", 2)
     for a in p2:
         if a.star().star() != a or a * a.star() * a != a:

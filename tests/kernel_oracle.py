@@ -8,7 +8,7 @@ of its classes, each a frozenset, so the helpers read nothing but classes.
 """
 
 from monoidkit.elements import PartialMap, Partition
-from monoidkit.order import _check_pair
+from monoidkit.elements import check_pair
 
 
 # --- equivalence relations ------------------------------------------------------
@@ -148,7 +148,7 @@ def upper_blocks(a: Partition):
 
 def leq_R_by_kernels(kind, a, b) -> bool:
     """a is a right multiple of b, read from kernel containment."""
-    _check_pair(kind, a, b)
+    check_pair(kind, a, b)
     if kind == "P":
         return subset_of(ker(b), ker(a)) and upper_blocks(b) <= upper_blocks(a)
     return dom(a) <= dom(b) and subset_of(kerhat(b), kerhat(a))

@@ -41,7 +41,7 @@ def test_criterion_02_nc_conditions():
 
 
 def test_criterion_03_nf_multiplication_oracle():
-    _report(3, suite_nf_mul(seed=SEED, pair_count=10_000), budget=5.0)
+    _report(3, suite_nf_mul(seed=SEED), budget=5.0)
 
 
 def test_criterion_04_right_ideal_meets():
@@ -65,7 +65,7 @@ def test_criterion_08_green_agreement():
 
 
 def test_criterion_09_annihilator_decision_and_witness():
-    _report(9, suite_ann_decision(seed=SEED, count=1000))
+    _report(9, suite_ann_decision(seed=SEED))
 
 
 def test_criterion_10_strict_chain_evidence():
@@ -77,4 +77,4 @@ def test_criterion_11_embedding_multiplicativity():
 
 
 def test_criterion_12_star_laws():
-    _report(12, suite_star(seed=SEED, sample=1000))
+    _report(12, suite_star(seed=SEED))

@@ -37,7 +37,7 @@ CONST2 = pm(2, 2)
 def test_finite_monoid_rejects_non_closed_list():
     S = FiniteMonoid([ID2, SWAP, CONST1])
     with pytest.raises(ValueError):
-        S.mul(CONST1, SWAP)  # const2 is missing from the list
+        S.row(S.index_of(CONST1))  # const1 * swap = const2 is missing from the list
     op = S.opposite()
     for _ in range(2):  # a failed row of the opposite is not cached
         with pytest.raises(ValueError, match="not closed"):
@@ -66,7 +66,8 @@ def test_foreign_elements_rejected(T2):
 
 def test_opposite_monoid(T2):
     op = T2.opposite()
-    assert op.mul(CONST1, SWAP) == T2.mul(SWAP, CONST1)
+    i, j = T2.index_of(CONST1), T2.index_of(SWAP)
+    assert op.row(i)[j] == T2.row(j)[i]
 
 
 def _column(S, j):
@@ -284,7 +285,7 @@ def _rc_close_by_worklist(S, pairs):
     while queue:
         p, t = queue.popleft()
         c, d = pair_idx[p]
-        u, v = S.mul_idx(c, t), S.mul_idx(d, t)
+        u, v = S.row(c)[t], S.row(d)[t]
         ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
@@ -351,7 +352,7 @@ def test_idempotent_idxs_costs_one_product_per_element(T4):
     S = FiniteMonoid(T4.elements, mul=counting_mul, check=False)
     idems = S.idempotent_idxs()
     assert calls[0] <= len(S)
-    assert idems == [i for i in range(len(T4)) if T4.mul_idx(i, i) == i]
+    assert idems == [i for i in range(len(T4)) if T4.row(i)[i] == i]
     assert all(row is None for row in S._rows)
 
 
@@ -443,7 +444,7 @@ def _is_right_congruence_by_multipliers(S, labels):
     is_right_congruence computed it before it compared labelled rows."""
     for cls in from_labels(labels):
         for s in range(len(S)):
-            images = {labels[S.mul_idx(u, s)] for u in cls}
+            images = {labels[S.row(u)[s]] for u in cls}
             if len(images) > 1:
                 return False
     return True
@@ -506,8 +507,8 @@ def _kappa_by_orbit_pairs(S, s):
     powers, cur = [], 0
     while cur not in powers:
         powers.append(cur)
-        cur = S.mul_idx(cur, S.index_of(s))
-    orbits = [{S.mul_idx(p, u) for p in powers} for u in range(len(S))]
+        cur = S.row(cur)[S.index_of(s)]
+    orbits = [{S.row(p)[u] for p in powers} for u in range(len(S))]
     pairs = [
         (u, v) for u in range(len(S)) for v in range(u + 1, len(S)) if orbits[u] & orbits[v]
     ]
@@ -527,10 +528,10 @@ def _kappa_by_orbit_owners(S, s):
     powers, cur = [], 0
     while cur not in powers:
         powers.append(cur)
-        cur = S.mul_idx(cur, S.index_of(s))
+        cur = S.row(cur)[S.index_of(s)]
     owner = {}
     links = [
-        (u, owner.setdefault(w, u)) for u in range(len(S)) for w in {S.mul_idx(p, u) for p in powers}
+        (u, owner.setdefault(w, u)) for u in range(len(S)) for w in {S.row(p)[u] for p in powers}
     ]
     return tuple(min_root_join(len(S), links))
 

@@ -117,6 +117,8 @@ def test_meet_left_pt_example(PT2):
 def test_meet_left_rejects_unknown_kind():
     with pytest.raises(ValueError):
         meet_left("P", pm(1, 2), pm(1, 2))
+    with pytest.raises(ValueError, match="does not handle kind 'P'"):
+        meet_left("P", Partition.identity(2), Partition.identity(2))
 
 
 @pytest.mark.parametrize("side", ["R", "L"])
@@ -302,6 +304,21 @@ def test_meet_size_mismatch():
         meet_right_pt(pm(1, 2), pm(1, 2, 3))
     with pytest.raises(ValueError):
         meet_right_partition(Partition.identity(2), Partition.identity(3))
+
+
+@pytest.mark.parametrize(
+    "fn,a,b,message",
+    [
+        (meet_right_pt, pm(1, 2), Partition.identity(1), "Partition(1, '{1 1'}') is not of kind PT"),
+        (meet_right_pt, Partition.identity(2), pm(1, 2), "Partition(2, '{1 1'}{2 2'}') is not of kind PT"),
+        (meet_right_partition, pm(1, 2), Partition.identity(2), "PartialMap([1,2]) is not of kind P"),
+        (meet_left_partition, Partition.identity(2), pm(1, 2), "PartialMap([1,2]) is not of kind P"),
+    ],
+)
+def test_exported_meets_refuse_the_wrong_element_class(fn, a, b, message):
+    with pytest.raises(ValueError) as err:
+        fn(a, b)
+    assert str(err.value) == message
 
 
 # --- the smallest carriers and trusted generators ------------------------------

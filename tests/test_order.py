@@ -173,8 +173,8 @@ def _generalized_inverses_by_products(S, a):
     ia = S.index_of(a)
     out = []
     for x in range(len(S)):
-        axa = S.mul_idx(S.mul_idx(ia, x), ia)
-        xax = S.mul_idx(S.mul_idx(x, ia), x)
+        axa = S.row(S.row(ia)[x])[ia]
+        xax = S.row(S.row(x)[ia])[x]
         if axa == ia and xax == x:
             out.append(S.elements[x])
     return out

@@ -112,6 +112,31 @@ def test_parse_inverts_format(x):
         assert parse_element(kind, format_element(x)) == x
 
 
+loose_values = st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(-2, 4))
+loose_points = st.one_of(st.lists(loose_values, max_size=3), st.lists(loose_values, max_size=3).map(tuple))
+loose_constructions = st.one_of(
+    st.tuples(st.just(PartialMap), loose_points),
+    st.tuples(st.just(Partition), loose_values, st.lists(loose_points, max_size=4)),
+    st.tuples(st.just(NF), loose_points, loose_values),
+)
+
+
+@deterministic
+@given(loose_constructions)
+@example((NF, (), 0.5))
+@example((PartialMap, [True]))
+def test_accepted_constructions_round_trip(construction):
+    """A public constructor refuses, with ValueError, what its canonical text
+    would not say back."""
+    cls, *args = construction
+    try:
+        x = cls(*args)
+    except ValueError:
+        return
+    kind = {PartialMap: "PT", Partition: "P", NF: "NF"}[cls]
+    assert parse_element(kind, format_element(x)) == x
+
+
 ALPHABET = "{}[],;_'+- 0123456789x²٣"
 canonical_texts = st.one_of(nfs, partial_maps, partitions).map(format_element)
 

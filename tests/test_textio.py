@@ -306,6 +306,23 @@ def test_round_trip_pt3_and_p2():
             assert parse_element(kind, format_element(x)) == x
 
 
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        (PartialMap, ([True],)),
+        (Partition, (-1, [])),
+        (Partition, (1.5, [[1, -1]])),
+        (NF, ((), 0.5)),
+        (NF, ((1.5,), 0)),
+        (NF, ([1], 0)),
+    ],
+    ids=["map-bool", "partition-negative-n", "partition-float-n", "nf-float-shift", "nf-float-point", "nf-list"],
+)
+def test_constructors_refuse_what_their_text_cannot_say(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
 def test_round_trip_random_nfs():
     rng = random.Random(19)
     for _ in range(1000):
