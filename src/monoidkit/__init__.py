@@ -23,7 +23,7 @@ from .congruence import (
     subact_generators,
     y_sequence,
 )
-from .ideals import MeetResult, meet, meet_left, meet_left_partition, meet_right_partition, meet_right_pt, verify_meet
+from .ideals import MeetResult, meet, meet_left, meet_partition, meet_right_pt, verify_meet
 from .pmonoid import (
     NF,
     NF_IDENTITY,

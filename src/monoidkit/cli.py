@@ -16,7 +16,7 @@ from .congruence import rc_close, annihilator, y_sequence
 from .elements import KINDS
 from .ideals import meet, verify_meet
 from .order import leq_L, leq_R, leq_oracle
-from .pmonoid import chain_search, check_nc, check_presentation, in_annihilator, annihilator_witness
+from .pmonoid import chain_search, check_limits, check_nc, check_presentation, in_annihilator, annihilator_witness
 from .textio import ParseError, format_element, parse_element, render_partition
 from .verify import SUITES, cached_monoid, delta, run_suite
 
@@ -227,6 +227,8 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.suite == "all":
+        check_limits(max_k=args.max_k, max_n=args.max_n)  # before any suite prints
     all_ok = True
     for name in names:
         result = run_suite(name, seed=args.seed, max_k=args.max_k, max_n=args.max_n)

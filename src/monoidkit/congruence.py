@@ -24,7 +24,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .elements import enumerate_elements, find, generators, identity_of, min_root_join
+from .elements import enumerate_elements, find, generators, identity_of, is_left, joining, min_root_join
 
 
 def _mask(indices):
@@ -180,6 +180,11 @@ class FiniteMonoid:
         """One product per element; no row is filled."""
         return [i for i, x in enumerate(self.elements) if self._mul_fn(x, x) == x]
 
+    def on_side(self, side):
+        """The monoid whose right side is the given side of this one: this
+        monoid for 'R', its opposite for 'L'."""
+        return self.opposite() if is_left(side) else self
+
     def opposite(self):
         """The same elements with reversed multiplication, built once: it
         shares the element list and index, keeps the generators, has caches
@@ -303,20 +308,14 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
     parent = list(range(m))
     edges = []
     adjacency = {}
-    sweep = itertools.chain(
-        ((p, 0) for p in range(len(pair_idx))),
-        ((p, t) for p in range(len(pair_idx)) for t in range(1, m)),
+    instances = itertools.chain(
+        ((c[0], d[0], p, 0) for p, (c, d) in enumerate(pair_rows)),
+        ((c[t], d[t], p, t) for p, (c, d) in enumerate(pair_rows) for t in range(1, m)),
     )
-    for p, t in sweep:
-        row_c, row_d = pair_rows[p]
-        u, v = row_c[t], row_d[t]
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-            edge_id = len(edges)
-            edges.append((u, v, p, t))
-            adjacency.setdefault(u, []).append(edge_id)
-            adjacency.setdefault(v, []).append(edge_id)
+    for edge in joining(parent, instances):
+        for x in edge[:2]:
+            adjacency.setdefault(x, []).append(len(edges))
+        edges.append(edge)
     labels = [find(parent, x) for x in range(m)]
     gen_pairs = tuple((S.elements[a], S.elements[b]) for a, b in pair_idx)
     return RightCongruence(S, labels, gen_pairs, edges, adjacency)

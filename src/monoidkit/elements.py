@@ -9,6 +9,7 @@ structures can use dense integer indexing throughout.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from math import comb, factorial
 
 KINDS = ("T", "PT", "I", "P")
@@ -25,15 +26,23 @@ def find(parent, x):
     return x
 
 
-def min_root_join(n, links):
-    """Label each point 0..n-1 by the least point of its class in the
-    equivalence the linked pairs generate.  The union-find hangs the larger
-    root below the smaller, so every root is its class minimum."""
-    parent = list(range(n))
-    for x, y in links:
-        rx, ry = find(parent, x), find(parent, y)
+def joining(parent, links):
+    """Merge each link's first two items in a union-find forest, hanging the
+    larger root below the smaller so that every root is its class minimum,
+    and yield each link that joined two classes."""
+    for link in links:
+        rx, ry = find(parent, link[0]), find(parent, link[1])
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
+            yield link
+
+
+def min_root_join(n, links):
+    """Label each point 0..n-1 by the least point of its class in the
+    equivalence the linked pairs generate."""
+    parent = list(range(n))
+    for _ in joining(parent, links):
+        pass
     return [find(parent, x) for x in range(n)]
 
 
@@ -259,6 +268,13 @@ class Partition:
         return f"Partition({self.n}, '{self}')"
 
 
+def row_points(block, n, lower):
+    """The points of an ascending block on one row: the upper points are a
+    prefix and the lower ones, stored as n+x, the rest."""
+    cut = bisect(block, n)
+    return block[cut:] if lower else block[:cut]
+
+
 def _point_text(p, n):
     return str(p) if p <= n else f"{p - n}'"
 
@@ -286,6 +302,13 @@ def check_pair(kind, a, b):
     require_kind(b, kind)
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+
+
+def is_left(side) -> bool:
+    """Whether a side, 'R' or 'L', is the left one; any other is refused."""
+    if side not in ("R", "L"):
+        raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+    return side == "L"
 
 
 def identity_of(kind, n):

@@ -5,6 +5,7 @@ Each meet function returns either a single generating element whose principal
 ideal equals the intersection, or an explicit emptiness verdict.  The choices
 left open by the constructions are pinned canonically: a kernel class maps to
 its minimum member, and a transversal class is anchored at its minimum point.
+One partition meet serves both sides; a side only chooses which row it reads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import FiniteMonoid
-from .elements import PartialMap, Partition, check_pair, min_root_join, require_kind
+from .elements import PartialMap, Partition, check_pair, is_left, min_root_join, require_kind, row_points
 
 
 @dataclass(frozen=True)
@@ -84,88 +85,57 @@ def meet_left(kind, a, b) -> MeetResult:
     )
 
 
-def meet_right_partition(a: Partition, b: Partition) -> MeetResult:
-    """Generator of a·P ∩ b·P in the partition monoid, or emptiness.
+def meet_partition(side, a: Partition, b: Partition) -> MeetResult:
+    """Generator of a·P ∩ b·P (side R) or P·a ∩ P·b (side L), or emptiness.
 
-    Any common right multiple contains every upper block of both factors as
-    a block and refines both kernels, so the intersection is empty unless
-    every upper block of a or of b is a whole class of the joined kernels.
-    When it is, those blocks plus every other joined class, anchored at the
-    lower copy of its minimum, generate the intersection.
+    Read on the row the side's multiplier leaves alone, its own row (upper
+    for R, lower for L): any common multiple contains every own-row-only
+    block of a or of b as a block and refines the joined own-row classes of
+    both, so the intersection is empty unless each such block is a whole
+    class.  When it is, those blocks plus every other class, anchored at the
+    other row's copy of its minimum, generate the intersection.
     """
+    lower = is_left(side)
     check_pair("P", a, b)
     n = a.n
-    both = a.blocks + b.blocks
-    # Blocks are ascending: a block with upper points starts with one.
-    links = ((p - 1, block[0] - 1) for block in both for p in block[1:] if p <= n)
-    roots = min_root_join(n, links)
+    links, own_only = [], []
+    for block in a.blocks + b.blocks:
+        points = row_points(block, n, lower)
+        if len(points) == len(block):
+            own_only.append(block)
+        for p in points[1:]:
+            links.append((p, points[0]))
+    roots = min_root_join(2 * n + 1, links)  # indexed by stored point
+    own_row = row_points(range(1, 2 * n + 1), n, lower)
     classes = {}
-    for x, r in enumerate(roots):
-        classes.setdefault(r, []).append(x + 1)
-    upper = {block for block in both if block[-1] <= n}
-    if any(len(classes[roots[block[0] - 1]]) != len(block) for block in upper):
-        return MeetResult.nothing()
-    kept = {roots[block[0] - 1] for block in upper}
-    # Classes by minimum, then the lower singletons: the blocks are canonical.
-    blocks = [tuple(cls) if r in kept else (*cls, n + r + 1) for r, cls in classes.items()]
-    blocks.extend((n + x + 1,) for x in range(n) if x not in classes or x in kept)
-    return MeetResult.found(Partition._from_internal(n, tuple(blocks)))
-
-
-def meet_left_partition(a: Partition, b: Partition) -> MeetResult:
-    """Generator of P·a ∩ P·b: the right meet read on the lower row.
-
-    Blocks are ascending, so a block's lower points are its suffix and a
-    block is lower-only iff its first point is.  The intersection is empty
-    unless every lower-only block of a or of b is a whole class of the
-    joined lower-row classes.  When it is, those blocks plus every other
-    joined class, anchored at the upper copy of its minimum, generate it.
-    """
-    check_pair("P", a, b)
-    n = a.n
-    both = a.blocks + b.blocks
-    links = ((p - n - 1, block[-1] - n - 1) for block in both for p in block[:-1] if p > n)
-    roots = min_root_join(n, links)
-    classes = {}
-    for x, r in enumerate(roots):
-        classes.setdefault(r, []).append(n + x + 1)
-    lower = {block for block in both if block[0] > n}
-    if any(len(classes[roots[block[0] - n - 1]]) != len(block) for block in lower):
-        return MeetResult.nothing()
-    kept = {roots[block[0] - n - 1] for block in lower}
-    # Each upper point, alone or heading its class, then the kept classes by
-    # minimum: the blocks are canonical.
-    blocks = [(x + 1, *classes[x]) if x in classes and x not in kept else (x + 1,) for x in range(n)]
-    blocks.extend(tuple(cls) for r, cls in classes.items() if r in kept)
-    return MeetResult.found(Partition._from_internal(n, tuple(blocks)))
+    for p in own_row:
+        classes.setdefault(roots[p], []).append(p)
+    for block in own_only:
+        if len(classes[roots[block[0]]]) != len(block):
+            return MeetResult.nothing()
+    whole = {roots[block[0]] for block in own_only}
+    other = -n if lower else n  # from a point to its copy on the other row
+    blocks = [tuple(c) if r in whole else tuple(sorted([*c, r + other])) for r, c in classes.items()]
+    blocks.extend((p + other,) for p in own_row if p not in classes or p in whole)
+    return MeetResult.found(Partition._from_internal(n, tuple(sorted(blocks))))
 
 
 def meet(kind, side, a, b) -> MeetResult:
-    if side == "L" and kind != "P":
-        return meet_left(kind, a, b)
-    if kind not in ("P", "PT") or side not in ("R", "L"):
-        # The meets below check a PT or P pair; this checks T and I elements,
-        # an unknown kind, and the elements ahead of a bad side's error.
-        require_kind(a, kind)
-        require_kind(b, kind)
-    if side == "R":
-        return meet_right_partition(a, b) if kind == "P" else meet_right_pt(a, b)
-    if side == "L":
-        return meet_left_partition(a, b)
-    raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+    """Generator of aS ∩ bS (side R) or Sa ∩ Sb (side L), or emptiness."""
+    require_kind(a, kind)
+    require_kind(b, kind)
+    if kind == "P":
+        return meet_partition(side, a, b)
+    return meet_left(kind, a, b) if is_left(side) else meet_right_pt(a, b)
 
 
 def verify_meet(S: FiniteMonoid, a, b, result: MeetResult, side="R") -> bool:
     """Brute-force check that the meet result is exact within S.
 
-    Intersects both principal right ideals, as `FiniteMonoid` bitmasks, and
-    compares with the generator's (or with emptiness); a left side is the
-    right side of the opposite monoid.
+    Intersects both principal right ideals of S on the side, as bitmasks,
+    and compares with the generator's (or with emptiness).
     """
-    if side not in ("R", "L"):
-        raise ValueError(f"side must be 'R' or 'L', got {side!r}")
-    if side == "L":
-        S = S.opposite()
+    S = S.on_side(side)
     inter = S.right_ideal_idx(S.index_of(a)) & S.right_ideal_idx(S.index_of(b))
     if result.empty:
         return not inter

@@ -1,22 +1,21 @@
 """Divisibility preorders, the natural order on idempotents, and regularity.
 
-`leq_R` reads a ≤_R b in one pass over both elements: for maps, b's image
-(None included) must determine a's, and no point may be defined under a but
-not under b; for partitions, the upper part of every mixed block of b must
-lie in one block of a, and every upper-only block of b must be one of a's.
-`leq_L` is image containment for maps; for partitions it is the mirror
-of `leq_R` read on the lower row, with no element rebuilt: the lower part
-of every mixed block of b must lie in one block of a, and every lower-only
-block of b must be one of a's.  `leq_oracle` answers the same
-question by exhaustive multiplier search over an enumerated monoid and
-returns the witness it finds.
+`leq_R` and `leq_L` read a ≤ b in one pass over both elements.  For maps,
+≤_R asks that b's image (None included) determine a's and that no point be
+defined under a but not under b; ≤_L is image containment.  For partitions
+one routine serves both sides.  It reads the row that the side's multiplier
+leaves alone, the upper row for ≤_R and the lower one for ≤_L: the points
+of each block of b on that row must lie in one block of a, and a block of b
+with no point on the other row must be a block of a.  `leq_oracle` answers
+the same question by exhaustive multiplier search over an enumerated monoid
+and returns the witness it finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import check_pair
+from .elements import check_pair, row_points
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ def leq_R(kind, a, b) -> bool:
     """a is a right multiple of b."""
     check_pair(kind, a, b)
     if kind == "P":
-        return _leq_R_partition(a, b)
+        return _leq_partition(a, b, lower=False)
     image_of = {}
     for u, v in zip(a.images, b.images):
         if (v is None and u is not None) or image_of.setdefault(v, u) != u:
@@ -37,76 +36,39 @@ def leq_R(kind, a, b) -> bool:
     return True
 
 
-def _leq_R_partition(a, b):
-    """Blocks are ascending, so a block's upper points come first and a
-    block is upper-only iff its last point is."""
-    n = a.n
-    label = [0] * (n + 1)
-    upper_only = set()
-    for k, block in enumerate(a.blocks):
-        if block[-1] <= n:
-            upper_only.add(block)
-        for p in block:
-            if p > n:
-                break
-            label[p] = k
-    for block in b.blocks:
-        if block[-1] <= n:
-            if block not in upper_only:
-                return False
-        elif block[0] <= n:
-            k = label[block[0]]
-            for p in block:
-                if p > n:
-                    break
-                if label[p] != k:
-                    return False
-    return True
-
-
 def leq_L(kind, a, b) -> bool:
     """a is a left multiple of b."""
     check_pair(kind, a, b)
     if kind == "P":
-        return _leq_L_partition(a, b)
+        return _leq_partition(a, b, lower=True)
     return a.im() <= b.im()
 
 
-def _leq_L_partition(a, b):
-    """Blocks are ascending, so a block's lower points are its suffix and a
-    block is lower-only iff its first point is."""
+def _leq_partition(a, b, lower):
+    """The partition preorder on one row, with points labelled by a's blocks."""
     n = a.n
     label = [0] * (2 * n + 1)
-    lower_only = set()
     for k, block in enumerate(a.blocks):
-        if block[0] > n:
-            lower_only.add(block)
-        for p in reversed(block):
-            if p <= n:
-                break
+        for p in block:
             label[p] = k
     for block in b.blocks:
-        if block[0] > n:
-            if block not in lower_only:
-                return False
-        elif block[-1] > n:
-            k = label[block[-1]]
-            for p in reversed(block):
-                if p <= n:
-                    break
+        own = row_points(block, n, lower)
+        if own:
+            k = label[own[0]]
+            for p in own:
                 if label[p] != k:
                     return False
+            if len(own) == len(block) and a.blocks[k] != block:
+                return False
     return True
 
 
 def leq_oracle(S, a, b, side="R") -> OrderVerdict:
     """The first s in S with b*s == a (side R) or s*b == a (side L), found
     in b's product row in S or in its opposite."""
-    if side not in ("R", "L"):
-        raise ValueError(f"side must be 'R' or 'L', got {side!r}")
-    ia = S.index_of(a)
-    ib = S.index_of(b)
-    products = (S if side == "R" else S.opposite()).row(ib)
+    sided = S.on_side(side)
+    ia, ib = S.index_of(a), S.index_of(b)
+    products = sided.row(ib)
     try:
         s = products.index(ia)
     except ValueError:

@@ -201,13 +201,19 @@ def _presentation_sides(max_k: int):
         yield nf_mul(eh, eg), nf_mul(he, ge)
 
 
+def check_limits(max_k=0, max_n=0):
+    """Refuse a bound below 0 or past the limit its checker's cost allows."""
+    for name, value, limit in (("max_k", max_k, 100_000), ("max_n", max_n, 200)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+        if value > limit:
+            raise ValueError(f"{name} must be at most {limit}, got {value}")
+
+
 def check_presentation(max_k: int) -> bool:
     """Every defining relation holds as an exact normal-form equality; the
     cost is linear in max_k, which is refused past 100000."""
-    if max_k < 0:
-        raise ValueError(f"max_k must be non-negative, got {max_k}")
-    if max_k > 100_000:
-        raise ValueError(f"max_k must be at most 100000, got {max_k}")
+    check_limits(max_k=max_k)
     return all(lhs == rhs for lhs, rhs in _presentation_sides(max_k))
 
 
@@ -220,10 +226,7 @@ def check_nc(max_n: int) -> bool:
     antichain, and e·up(n) sits below no up(k) with 0 < k < n and below no
     dn(k) at all.  The cost is quadratic in max_n, which is refused past 200.
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be non-negative, got {max_n}")
-    if max_n > 200:
-        raise ValueError(f"max_n must be at most 200, got {max_n}")
+    check_limits(max_n=max_n)
     e = PUNCTURE
     up = [None] + [nf_of_word("g" * k + "e" + "h" * k) for k in range(1, max_n + 1)]
     dn = [None] + [nf_of_word("h" * k + "e" + "g" * k) for k in range(1, max_n + 1)]

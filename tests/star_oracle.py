@@ -1,16 +1,17 @@
-"""The partition left side as it was before it read the lower row directly,
-kept as an oracle for `monoidkit.order.leq_L` and
-`monoidkit.ideals.meet_left_partition`.
+"""The partition left side by transport, kept as an oracle for the left
+side of the row-parametrised `monoidkit.order.leq_L` and
+`monoidkit.ideals.meet_partition`, which read the lower row directly.
 
-Both transport the right side through the row-swapping anti-involution
-`star`: a ≤_L b iff a* ≤_R b*, and P·a ∩ P·b is the star of a*·P ∩ b*·P.
+Both transport the right side, read on the upper row, through the
+row-swapping anti-involution `star`: a ≤_L b iff a* ≤_R b*, and P·a ∩ P·b
+is the star of a*·P ∩ b*·P.
 """
 
 import itertools
 import random
 
 from monoidkit.elements import enumerate_elements
-from monoidkit.ideals import MeetResult, meet_right_partition
+from monoidkit.ideals import MeetResult, meet_partition
 from monoidkit.order import leq_R
 
 
@@ -19,7 +20,7 @@ def leq_L_by_star(a, b):
 
 
 def meet_left_by_star(a, b):
-    result = meet_right_partition(a.star(), b.star())
+    result = meet_partition("R", a.star(), b.star())
     if result.empty:
         return result
     return MeetResult.found(result.generator.star())

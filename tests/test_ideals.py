@@ -8,8 +8,7 @@ from monoidkit.ideals import (
     MeetResult,
     meet,
     meet_left,
-    meet_left_partition,
-    meet_right_partition,
+    meet_partition,
     meet_right_pt,
     verify_meet,
 )
@@ -144,19 +143,19 @@ def test_meet_refuses_bad_input_alike_on_both_sides(side, kind, a, b, message):
 def test_meet_partition_overlapping_upper_blocks_is_empty(P2):
     a = Partition(2, [[1, 2], [-1], [-2]])
     b = Partition(2, [[1], [2, -2], [-1]])
-    result = meet_right_partition(a, b)
+    result = meet_partition("R", a, b)
     assert result.empty
     assert verify_meet(P2, a, b, result, "R")
 
 
 def test_meet_partition_identity_pair():
     one = Partition.identity(2)
-    assert meet_right_partition(one, one).generator == one
+    assert meet_partition("R", one, one).generator == one
 
 
 def test_meet_partition_against_identity():
     a = Partition(2, [[1, 2, -1], [-2]])
-    result = meet_right_partition(a, Partition.identity(2))
+    result = meet_partition("R", a, Partition.identity(2))
     assert result.generator == a
 
 
@@ -165,7 +164,7 @@ def test_meet_partition_straddling_kernel_is_empty(P2):
     # common right multiple can exist even though no block pair overlaps.
     a = Partition(2, [[1, 2, -1], [-2]])
     b = Partition(2, [[1], [2], [-1, -2]])
-    result = meet_right_partition(a, b)
+    result = meet_partition("R", a, b)
     assert result.empty
     assert verify_meet(P2, a, b, result, "R")
 
@@ -215,7 +214,7 @@ def _random_partition(rng, n):
 
 def test_meet_right_partition_matches_kernel_join_exhaustive_p3(P3):
     for a, b in itertools.product(P3.elements, repeat=2):
-        assert meet_right_partition(a, b) == _meet_right_partition_by_kernels(a, b), (a, b)
+        assert meet_partition("R", a, b) == _meet_right_partition_by_kernels(a, b), (a, b)
 
 
 def test_meet_right_partition_matches_kernel_join_sampled_p5_p6():
@@ -224,7 +223,7 @@ def test_meet_right_partition_matches_kernel_join_sampled_p5_p6():
     for n in (5, 6):
         for _ in range(1000):
             a, b = _random_partition(rng, n), _random_partition(rng, n)
-            result = meet_right_partition(a, b)
+            result = meet_partition("R", a, b)
             assert result == _meet_right_partition_by_kernels(a, b), (a, b)
             empty += result.empty
     assert 100 < empty < 1900
@@ -234,12 +233,12 @@ def test_meet_left_partition_is_star_transport():
     """Read on the lower row, the left meet is the right meet transported
     through `star`."""
     for a, b in left_side_pairs(31):
-        assert meet_left_partition(a, b) == meet_left_by_star(a, b), (a, b)
+        assert meet_partition("L", a, b) == meet_left_by_star(a, b), (a, b)
 
 
 def test_meet_left_partition_principal(P2):
     a = Partition(2, [[1, -1], [2], [-2]])
-    result = meet_left_partition(a, a)
+    result = meet_partition("L", a, a)
     assert not result.empty
     assert verify_meet(P2, a, a, result, "L")
 
@@ -271,7 +270,7 @@ def test_partition_emptiness_matches_brute_force(P2):
         brute_empty = not (
             P2.right_ideal_idx(P2.index_of(a)) & P2.right_ideal_idx(P2.index_of(b))
         )
-        assert meet_right_partition(a, b).empty == brute_empty
+        assert meet_partition("R", a, b).empty == brute_empty
 
 
 def test_partition_emptiness_exhaustive_p3(P3):
@@ -280,7 +279,7 @@ def test_partition_emptiness_exhaustive_p3(P3):
         ideal_a = P3.right_ideal_idx(i)
         for j, b in enumerate(P3.elements):
             brute_empty = not (ideal_a & P3.right_ideal_idx(j))
-            assert meet_right_partition(a, b).empty == brute_empty, (a, b)
+            assert meet_partition("R", a, b).empty == brute_empty, (a, b)
 
 
 def test_right_meets_never_empty_for_maps(PT2, T2, I2):
@@ -303,7 +302,16 @@ def test_meet_size_mismatch():
     with pytest.raises(ValueError):
         meet_right_pt(pm(1, 2), pm(1, 2, 3))
     with pytest.raises(ValueError):
-        meet_right_partition(Partition.identity(2), Partition.identity(3))
+        meet_partition("R", Partition.identity(2), Partition.identity(3))
+
+
+# One side each, named so that the parametrised ids below name the side.
+def meet_right_partition(a, b):
+    return meet_partition("R", a, b)
+
+
+def meet_left_partition(a, b):
+    return meet_partition("L", a, b)
 
 
 @pytest.mark.parametrize(
@@ -319,6 +327,34 @@ def test_exported_meets_refuse_the_wrong_element_class(fn, a, b, message):
     with pytest.raises(ValueError) as err:
         fn(a, b)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("side", ["X", "r", None])
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda side: meet("T", side, pm(1, 2), pm(2, 2)),
+        lambda side: meet("PT", side, pm(1, None), pm(1, 2)),
+        lambda side: meet("I", side, pm(2, 1), pm(1, None)),
+        lambda side: meet("P", side, Partition.identity(2), Partition(2, [[1, 2], [-1], [-2]])),
+        lambda side: meet("P", side, Partition.identity(2), Partition.identity(3)),
+        lambda side: verify_meet(cached_monoid("T", 2), pm(1, 1), pm(2, 2), MeetResult.nothing(), side),
+        lambda side: verify_meet(
+            cached_monoid("P", 2), Partition.identity(2), Partition.identity(2),
+            MeetResult.found(Partition.identity(2)), side,
+        ),
+        lambda side: leq_oracle(cached_monoid("PT", 2), pm(1, None), pm(1, 2), side),
+        lambda side: leq_oracle(cached_monoid("P", 2), Partition.identity(3), Partition.identity(2), side),
+    ],
+    ids=[
+        "meet-T", "meet-PT", "meet-I", "meet-P", "meet-P-sizes",
+        "verify_meet-T", "verify_meet-P", "leq_oracle-PT", "leq_oracle-P-nonmember",
+    ],
+)
+def test_bad_side_refused_before_anything_else(ask, side):
+    with pytest.raises(ValueError) as err:
+        ask(side)
+    assert str(err.value) == f"side must be 'R' or 'L', got {side!r}"
 
 
 # --- the smallest carriers and trusted generators ------------------------------
