@@ -227,8 +227,7 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    if args.suite == "all":
-        check_limits(max_k=args.max_k, max_n=args.max_n)  # before any suite prints
+    check_limits(max_k=args.max_k, max_n=args.max_n)  # both bounds, before any suite prints
     all_ok = True
     for name in names:
         result = run_suite(name, seed=args.seed, max_k=args.max_k, max_n=args.max_n)

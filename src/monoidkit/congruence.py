@@ -5,8 +5,13 @@ A full monoid's product rows come from its generators (the row half of
 Froidure & Pin 1997): the generators' rows are computed by products, and
 since (g*p)*j = g*(p*j), the row of any x = g*p is the row of p looked up in
 the row of g.  A left factor tree, built once from the generators' rows,
-gives every element such a factorization.  Left-side questions are the
-right-side ones of the opposite monoid, whose rows are the columns S*b.
+gives every element such a factorization.  A row takes 1, 2 or 4 bytes an
+entry (`bytes` up to 256 elements, then `array('H')` up to 65,536, then
+`array('I')`), and the identity's row is `range(m)`.  Each read of uncached
+rows makes one choice for all of them: products while they fit within as
+many product rows as there are generators, else the tree, so no read pays
+for the generators' rows twice.  Left-side questions are the right-side ones
+of the opposite monoid, whose rows are the columns S*b.
 
 The least right congruence containing pairs R is the equivalence generated by
 the instances (c*t, d*t) for (c, d) in R and t in S.  The instances are closed
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -41,15 +48,21 @@ class FiniteMonoid:
     Product rows and principal right ideals are cached; row i lists the
     indices of elements[i] * x for every x, so the product of indices i and
     j is `row(i)[j]`, the only product lookup, and an ideal is an int bitmask
-    over the indices.  A row is a `bytes` object on at most 256 elements
-    and a list on more.  Without generators every row is computed with `*`
-    on the elements (overridable).  A full monoid records its standard
-    generators.  Its first rows, as many as it has generators, are computed
-    by products, so a closure or an annihilator that reads a row or two pays
-    nothing more.  Past those, the generators' rows are computed by products
-    too, and every other row is composed from them along the left factor
-    tree (for `bytes` rows, by one `bytes.translate` each).  Left columns
-    and left ideals are the rows and right ideals of `opposite()`.
+    over the indices.  A row is `bytes` on at most 256 elements, an
+    `array('H')` on at most 65,536 and an `array('I')` past that: 1, 2 or 4
+    bytes an entry.  Row 0 is the identity's, `range(m)`, never multiplied.
+
+    Every read of uncached rows makes one choice for all of them (`rows`;
+    `row` reads one).  Without generators each row is computed with `*` on
+    the elements (overridable).  A full monoid records its standard
+    generators.  A read whose uncached rows fit, with the product rows
+    already made, within as many rows as it has generators computes them by
+    products, so a closure or an annihilator that reads a row or two pays
+    nothing more.  Any other read builds the left factor tree once, from the
+    generators' rows computed by products, and composes every other row
+    along it, in one C-level step each (`bytes.translate`, or one `struct`
+    pack for arrays).  Left columns and left ideals are the rows and right
+    ideals of `opposite()`.
     """
 
     def __init__(self, elements, mul=None, check=True):
@@ -71,9 +84,11 @@ class FiniteMonoid:
     def _start(self, mul, generators):
         """Empty caches for a product on the elements; generator indices are
         set only where the generating set is known."""
+        m = len(self.elements)
         self._mul_fn = mul
         self._generators = generators
-        self._rows = [None] * len(self.elements)
+        self._code = None if m <= 256 else "H" if m <= 65536 else "I"  # None: bytes
+        self._rows = [None] * m
         self._product_rows = 0
         self._tree = None
         self._right_ideals = {}
@@ -106,66 +121,86 @@ class FiniteMonoid:
         to be modified."""
         row = self._rows[i]
         if row is None:
-            gens = self._generators
-            if gens is None or self._tree is None and self._product_rows < len(gens):
-                row = self._product_row(i)
-            else:
-                row = self._composed_row(i)
+            row, = self.rows((i,))
         return row
 
+    def rows(self, indices):
+        """The rows of the indices, in order, computed as they are yielded.
+        One choice serves them all: products while the uncached ones fit
+        within as many product rows as there are generators, otherwise
+        composition along the left factor tree."""
+        indices = list(indices)
+        cached, gens = self._rows, self._generators
+        fresh = len({i for i in indices if cached[i] is None} - {0})
+        if gens is None or self._tree is None and self._product_rows + fresh <= len(gens):
+            make = self._product_row
+        else:
+            make = self._composed_row
+        for i in indices:
+            row = cached[i]
+            yield make(i) if row is None else row
+
     def _product_row(self, i):
-        a = self.elements[i]
-        try:
-            row = [self._index[self._mul_fn(a, b)] for b in self.elements]
-        except KeyError as exc:
-            raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
-        if len(row) <= 256:
-            row = bytes(row)
-        self._rows[i] = row
-        self._product_rows += 1
+        if i == 0:
+            row = range(len(self.elements))
+        else:
+            a = self.elements[i]
+            try:
+                row = [self._index[self._mul_fn(a, b)] for b in self.elements]
+            except KeyError as exc:
+                raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
+            self._product_rows += 1
+        row = self._rows[i] = bytes(row) if self._code is None else array(self._code, row)
         return row
 
     def _left_factor_tree(self):
-        """(gen, parent, tables): for every element x but the identity a
-        generator gen[x] and an element parent[x], nearer the identity in
-        breadth-first order, with x = gen[x]*parent[x]; and for each
-        generator g its row, padded to a 256-byte translation table where
-        rows are bytes."""
+        """(gen, parent, tables, pack): for every element x but the identity
+        a generator gen[x] and an element parent[x], nearer the identity in
+        breadth-first order, with x = gen[x]*parent[x]; for each generator g
+        its row as a lookup table, a 256-byte translation table where rows
+        are bytes and a list otherwise; and, for arrays, the packer of a
+        row's entries into its bytes."""
         if self._tree is None:
-            m = len(self.elements)
+            m, code = len(self.elements), self._code
             gen_rows = [(g, self._rows[g] or self._product_row(g)) for g in self._generators]
+            tables = {g: row.ljust(256, b"\0") if code is None else list(row) for g, row in gen_rows}
             parent = [-1] * m
             parent[0] = 0
             gen = [0] * m
             order = [0]
             for p in order:  # grows while it is walked
-                for g, row in gen_rows:
-                    x = row[p]
+                for g, table in tables.items():
+                    x = table[p]
                     if parent[x] < 0:
                         parent[x] = p
                         gen[x] = g
                         order.append(x)
             if len(order) < m:
                 raise ValueError(f"the generators reach {len(order)} of {m} elements")
-            small = m <= 256
             if self._rows[0] is None:
-                self._rows[0] = bytes(range(m)) if small else list(range(m))
-            tables = {g: row.ljust(256, b"\0") if small else row for g, row in gen_rows}
-            self._tree = (gen, parent, tables)
+                self._product_row(0)
+            pack = None if code is None else struct.Struct(f"{m}{code}").pack
+            self._tree = (gen, parent, tables, pack)
         return self._tree
 
     def _composed_row(self, i):
-        gen, parent, tables = self._left_factor_tree()
-        rows = self._rows
+        """Row i from its nearest cached ancestor on the tree, each row on
+        the way the row above looked up in its generator's table."""
+        gen, parent, tables, pack = self._left_factor_tree()
+        rows, code = self._rows, self._code
         path = []
         x = i
         while rows[x] is None:
             path.append(x)
             x = parent[x]
+        above = rows[x]
         for x in reversed(path):
-            above = rows[parent[x]]
             table = tables[gen[x]]
-            rows[x] = above.translate(table) if type(above) is bytes else list(map(table.__getitem__, above))
+            if code is None:
+                rows[x] = above = above.translate(table)
+            else:  # a tuple of the table's own ints, carried down the path
+                above = operator.itemgetter(*above)(table)
+                rows[x] = array(code, pack(*above))
         return rows[i]
 
     def right_ideal_idx(self, i):
@@ -303,7 +338,8 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
     each read once before the sweep.
     """
     pair_idx = [(S.index_of(a), S.index_of(b)) for a, b in pairs]
-    pair_rows = [(S.row(c), S.row(d)) for c, d in pair_idx]
+    rows = S.rows(itertools.chain.from_iterable(pair_idx))
+    pair_rows = list(zip(rows, rows))
     m = len(S)
     parent = list(range(m))
     edges = []
@@ -359,13 +395,16 @@ def is_right_congruence(S: FiniteMonoid, labels) -> bool:
     """Full compatibility check on a labelling of the element indices: every
     related pair stays related under every right multiplier, so the members
     of a class have equal rows once each product is replaced by its label.
-    Every row is read; only classes of two or more members are compared."""
+    Every row is read, class by class, through one `rows` read; only
+    classes of two or more members are compared."""
     label = list(labels).__getitem__
-    for first, *rest in _classes(labels):
-        row = S.row(first)
+    classes = list(_classes(labels))
+    rows = S.rows(itertools.chain.from_iterable(classes))
+    for first, *rest in classes:
+        row = next(rows)
         if rest:
             mapped = list(map(label, row))
-            if any(list(map(label, S.row(u))) != mapped for u in rest):
+            if any(list(map(label, next(rows))) != mapped for _ in rest):
                 return False
     return True
 

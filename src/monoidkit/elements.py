@@ -296,12 +296,15 @@ def require_kind(x, kind):
         raise ValueError(f"{x!r} is not of kind {kind}")
 
 
-def check_pair(kind, a, b):
-    """Refuse an argument pair unless both are of the kind and the same size."""
+def check_pair(kind, a, b, side="R"):
+    """Refuse, in this order, an element not of the kind, a side other
+    than 'R' or 'L' and two sizes; whether the side is the left one."""
     require_kind(a, kind)
     require_kind(b, kind)
+    left = is_left(side)
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+    return left
 
 
 def is_left(side) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import FiniteMonoid
-from .elements import PartialMap, Partition, check_pair, is_left, min_root_join, require_kind, row_points
+from .elements import PartialMap, Partition, check_pair, is_left, min_root_join, row_points
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,13 @@ class MeetResult:
 
 
 def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
-    """Generator of aS ∩ bS for partial maps (total and injective included).
+    """Generator of aS ∩ bS for partial maps (total and injective included)."""
+    check_pair("PT", a, b)
+    return _meet_right_pt(a, b)
+
+
+def _meet_right_pt(a, b):
+    """The right meet of two checked partial maps.
 
     The generator is defined on the union of joined-kernel classes lying
     inside dom a ∩ dom b, and collapses each such class to its minimum.
@@ -46,7 +52,6 @@ def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
     its image, under a and then under b.  Each image is then a class
     minimum plus one, a point of 1..n, so the result needs no re-validation.
     """
-    check_pair("PT", a, b)
 
     def links():
         for images in (a.images, b.images):
@@ -65,7 +70,16 @@ def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
 
 
 def meet_left(kind, a, b) -> MeetResult:
-    """Generator of Sa ∩ Sb; the kind decides what an acceptable image is.
+    """Generator of Sa ∩ Sb for maps of the kind."""
+    check_pair(kind, a, b)
+    if kind not in ("T", "PT", "I"):
+        raise ValueError(f"meet_left does not handle kind {kind!r}")
+    return _meet_left(kind, a, b)
+
+
+def _meet_left(kind, a, b):
+    """The left meet of two checked maps; the kind decides what an
+    acceptable image is.
 
     For partial kinds the partial identity on im a ∩ im b works (possibly the
     empty map).  For total maps on n >= 1 points an empty image intersection
@@ -73,9 +87,6 @@ def meet_left(kind, a, b) -> MeetResult:
     fixing its members and sending everything else to its minimum.  On no
     points the empty map is the identity and generates both ideals.
     """
-    check_pair(kind, a, b)
-    if kind not in ("T", "PT", "I"):
-        raise ValueError(f"meet_left does not handle kind {kind!r}")
     common = a.im() & b.im()
     if kind == "T" and a.n and not common:
         return MeetResult.nothing()
@@ -86,7 +97,14 @@ def meet_left(kind, a, b) -> MeetResult:
 
 
 def meet_partition(side, a: Partition, b: Partition) -> MeetResult:
-    """Generator of a·P ∩ b·P (side R) or P·a ∩ P·b (side L), or emptiness.
+    """Generator of a·P ∩ b·P (side R) or P·a ∩ P·b (side L), or emptiness."""
+    lower = is_left(side)
+    check_pair("P", a, b)
+    return _meet_partition(lower, a, b)
+
+
+def _meet_partition(lower, a, b):
+    """The meet of two checked partitions on the upper row, or the lower.
 
     Read on the row the side's multiplier leaves alone, its own row (upper
     for R, lower for L): any common multiple contains every own-row-only
@@ -95,8 +113,6 @@ def meet_partition(side, a: Partition, b: Partition) -> MeetResult:
     class.  When it is, those blocks plus every other class, anchored at the
     other row's copy of its minimum, generate the intersection.
     """
-    lower = is_left(side)
-    check_pair("P", a, b)
     n = a.n
     links, own_only = [], []
     for block in a.blocks + b.blocks:
@@ -121,12 +137,12 @@ def meet_partition(side, a: Partition, b: Partition) -> MeetResult:
 
 
 def meet(kind, side, a, b) -> MeetResult:
-    """Generator of aS ∩ bS (side R) or Sa ∩ Sb (side L), or emptiness."""
-    require_kind(a, kind)
-    require_kind(b, kind)
+    """Generator of aS ∩ bS (side R) or Sa ∩ Sb (side L), or emptiness;
+    each element is checked once, then the side, then the sizes."""
+    lower = check_pair(kind, a, b, side)
     if kind == "P":
-        return meet_partition(side, a, b)
-    return meet_left(kind, a, b) if is_left(side) else meet_right_pt(a, b)
+        return _meet_partition(lower, a, b)
+    return _meet_left(kind, a, b) if lower else _meet_right_pt(a, b)
 
 
 def verify_meet(S: FiniteMonoid, a, b, result: MeetResult, side="R") -> bool:

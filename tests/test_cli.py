@@ -234,6 +234,8 @@ def test_pmonoid_nc_negative_bound(capsys):
         (("verify", "nc", "--max-n", "1000000000000"), "max_n must be at most 200"),
         (("verify", "presentation", "--max-k", "100001"), "max_k must be at most 100000"),
         (("verify", "all", "--max-n", "201"), "max_n must be at most 200"),
+        (("verify", "presentation", "--max-n", "201"), "max_n must be at most 200"),
+        (("verify", "nc", "--max-k", "100001"), "max_k must be at most 100000"),
     ],
 )
 def test_checker_bounds_past_their_cost_limit_refused(capsys, argv, bound):

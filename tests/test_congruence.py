@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from collections import deque
 
 import pytest
@@ -115,26 +116,40 @@ def test_composed_rows_and_tree_columns_match_products(build):
     assert [S.row(i) for i in range(m)] == [direct.row(i) for i in range(m)]
 
 
+def _row_type(row):
+    """bytes, or the typecode of an array."""
+    return row.typecode if type(row) is array else type(row)
+
+
 @pytest.mark.parametrize(
     "build,row_type",
     [
         (lambda: FiniteMonoid.full("T", 4), bytes),  # exactly 256 elements
-        (lambda: FiniteMonoid.full("PT", 4), list),  # 625 elements
+        (lambda: FiniteMonoid.full("PT", 4), "H"),  # 625 elements
         (lambda: FiniteMonoid(cached_monoid("I", 4).elements), bytes),  # no generators
     ],
     ids=["T4", "PT4", "I4-without-generators"],
 )
 def test_every_row_and_column_is_its_product_row(build, row_type):
-    """Rows are bytes on at most 256 elements and lists past that; either
-    way each holds the products' indices, on both sides."""
+    """Rows are bytes on at most 256 elements and two-byte arrays past that;
+    either way each holds the products' indices, on both sides."""
     S = build()
     op = S.opposite()
     els, index = S.elements, S.index_of
     for i, a in enumerate(els):
         row, col = S.row(i), op.row(i)
-        assert type(row) is row_type and type(col) is row_type
+        assert _row_type(row) == row_type and _row_type(col) == row_type
         assert list(row) == [index(a * x) for x in els]
         assert list(col) == [index(x * a) for x in els]
+
+
+def test_rows_past_65536_elements_take_four_bytes_an_entry():
+    m = 65537  # the cyclic monoid Z_m under addition, without generators
+    S = FiniteMonoid(range(m), mul=lambda a, b: (a + b) % m, check=False)
+    row = S.row(1)
+    assert _row_type(row) == "I" and row.itemsize >= 4
+    assert list(row) == [(1 + x) % m for x in range(m)]
+    assert row[m - 2] == m - 1 and row[m - 1] == 0
 
 
 def _members(mask):
@@ -204,13 +219,27 @@ def products(monkeypatch):
 
 
 def test_full_table_costs_generator_rows_not_m_squared(products):
-    # Direct rows would cost m^2 = 65,536 products on T_4.
+    # Direct rows would cost m^2 = 65,536 products on T_4; one batch read
+    # pays the generators' rows once, and the identity's row not at all.
     S = FiniteMonoid.full("T", 4)
     m, g = len(S), len(generators("T", 4))
     products[0] = 0
-    for i in range(m):
-        S.row(i)
-    assert products[0] <= 2 * g * m
+    assert len(list(S.rows(range(m)))) == m
+    assert None not in S._rows
+    assert products[0] <= g * m
+
+
+def test_two_pair_closure_pays_the_generator_rows_once(products):
+    # Four rows past the three generators' go by the tree from the start:
+    # the generators' rows are not paid on top of the pairs' first rows.
+    S = FiniteMonoid.full("T", 4)
+    picked = [5, 77, 100, 200]
+    assert not set(picked) & set(S._generators) and 0 not in picked
+    a, b, c, d = (S.elements[i] for i in picked)
+    products[0] = 0
+    rho = rc_close(S, [(a, b), (c, d)])
+    assert products[0] <= len(generators("T", 4)) * len(S)
+    assert is_right_congruence(S, rho.eqrel)
 
 
 def test_one_pair_closure_pays_only_its_rows(products):
