@@ -23,7 +23,7 @@ from .congruence import (
     subact_generators,
     y_sequence,
 )
-from .ideals import MeetResult, meet, meet_left, meet_partition, meet_right_pt, verify_meet
+from .ideals import MeetResult, meet, verify_meet
 from .pmonoid import (
     NF,
     NF_IDENTITY,
@@ -45,7 +45,7 @@ from .pmonoid import (
     nf_window,
     y_n,
 )
-from .textio import ParseError, format_element, format_nf, parse_element, render_partition
+from .textio import ParseError, format_element, parse_element, render_partition
 from .verify import SUITES, SuiteResult, cached_monoid, delta, run_suite
 
 __version__ = "0.1.0"

@@ -2,14 +2,16 @@
 
 Exit codes follow one convention everywhere: 0 when the command succeeded
 and any queried property holds, 1 when a queried property is violated, and
-2 for usage, syntax, or semantic input errors.  Output is a plain-text line
-protocol with one result per line; nothing is interactive and all
-randomized suites are fixed by --seed.
+2 for usage, syntax, or semantic input errors; a reader that closes the
+pipe early ends the command with 1 and nothing on stderr.  Output is a
+plain-text line protocol with one result per line; nothing is interactive
+and all randomized suites are fixed by --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .congruence import rc_close, annihilator, y_sequence
@@ -200,23 +202,21 @@ def cmd_pmonoid(args) -> int:
         print(f"yes n={verdict.n}{side}")
         _print_witness(annihilator_witness(u, v))
         return 0
-    if args.pm_command == "chain":
-        report = chain_search(
-            args.n,
-            y_index=args.y_index,
-            max_excluded=args.max_excluded,
-            max_magnitude=args.max_magnitude,
-            max_length=args.max_length,
-        )
-        print(
-            f"n={report.n} y={report.y_index} reached={str(report.reached).lower()}"
-            f" explored={report.explored} pruned={report.pruned}"
-            f" bounds=|E|<={report.max_excluded},mag<={report.max_magnitude},len<={report.max_length}"
-        )
-        if report.reached:
-            print(f"depth\t{report.depth}")
-        return 0
-    raise ValueError(f"unknown pmonoid command {args.pm_command!r}")
+    report = chain_search(  # pm_command == "chain", the one left
+        args.n,
+        y_index=args.y_index,
+        max_excluded=args.max_excluded,
+        max_magnitude=args.max_magnitude,
+        max_length=args.max_length,
+    )
+    print(
+        f"n={report.n} y={report.y_index} reached={str(report.reached).lower()}"
+        f" explored={report.explored} pruned={report.pruned}"
+        f" bounds=|E|<={report.max_excluded},mag<={report.max_magnitude},len<={report.max_length}"
+    )
+    if report.reached:
+        print(f"depth\t{report.depth}")
+    return 0
 
 
 def cmd_render(args) -> int:
@@ -265,7 +265,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """Run the CLI; a reader that closes the pipe early ends it with code 1."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit writes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

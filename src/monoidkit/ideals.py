@@ -1,11 +1,11 @@
 """Constructive generators for intersections of principal one-sided ideals,
 with a brute-force verifier.
 
-Each meet function returns either a single generating element whose principal
-ideal equals the intersection, or an explicit emptiness verdict.  The choices
-left open by the constructions are pinned canonically: a kernel class maps to
-its minimum member, and a transversal class is anchored at its minimum point.
-One partition meet serves both sides; a side only chooses which row it reads.
+The one `meet(kind, side, a, b)` returns either a single generating element
+whose principal ideal equals the intersection, or an explicit emptiness
+verdict.  The choices left open are pinned canonically: a kernel class maps
+to its minimum member, and a transversal class is anchored at its minimum
+point.  One partition kernel serves both sides; a side chooses the row read.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import FiniteMonoid
-from .elements import PartialMap, Partition, check_pair, is_left, min_root_join, row_points
+from .elements import PartialMap, Partition, check_pair, min_root_join, row_points
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,6 @@ class MeetResult:
     @classmethod
     def nothing(cls):
         return cls(None, True)
-
-
-def meet_right_pt(a: PartialMap, b: PartialMap) -> MeetResult:
-    """Generator of aS ∩ bS for partial maps (total and injective included)."""
-    check_pair("PT", a, b)
-    return _meet_right_pt(a, b)
 
 
 def _meet_right_pt(a, b):
@@ -69,14 +63,6 @@ def _meet_right_pt(a, b):
     )
 
 
-def meet_left(kind, a, b) -> MeetResult:
-    """Generator of Sa ∩ Sb for maps of the kind."""
-    check_pair(kind, a, b)
-    if kind not in ("T", "PT", "I"):
-        raise ValueError(f"meet_left does not handle kind {kind!r}")
-    return _meet_left(kind, a, b)
-
-
 def _meet_left(kind, a, b):
     """The left meet of two checked maps; the kind decides what an
     acceptable image is.
@@ -94,13 +80,6 @@ def _meet_left(kind, a, b):
     return MeetResult.found(
         PartialMap._from_internal(tuple([x if x in common else fill for x in range(1, a.n + 1)]))
     )
-
-
-def meet_partition(side, a: Partition, b: Partition) -> MeetResult:
-    """Generator of a·P ∩ b·P (side R) or P·a ∩ P·b (side L), or emptiness."""
-    lower = is_left(side)
-    check_pair("P", a, b)
-    return _meet_partition(lower, a, b)
 
 
 def _meet_partition(lower, a, b):

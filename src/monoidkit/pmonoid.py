@@ -58,6 +58,9 @@ class NF:
             return NotImplemented
         return nf_mul(self, other)
 
+    def __str__(self):
+        return "{%s};%+d" % (",".join(map(str, self.excluded)), self.shift)
+
     def __repr__(self):
         return "NF({%s}, %+d)" % (",".join(map(str, self.excluded)), self.shift)
 

@@ -7,8 +7,8 @@ Grammars (sizes are inferred from the content):
     normal form   {-2,-1};+2       ascending excluded list, then signed shift
     word          gege             letters over g, h, e
 
-Parsing any canonical serialization returns an equal element, and
-re-serializing a parsed element reproduces canonical text.
+Each element's `str` is its canonical text (`format_element` is `str`);
+parsing that text returns an equal element, whose `str` is the same text.
 
 Digits are ASCII 0-9 only.  Each parser first matches the whole text
 against one compiled pattern of its grammar; a match is read with
@@ -248,13 +248,7 @@ def parse_element(kind: str, text: str):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def format_nf(a: NF) -> str:
-    return "{%s};%+d" % (",".join(map(str, a.excluded)), a.shift)
-
-
 def format_element(x) -> str:
-    if isinstance(x, NF):
-        return format_nf(x)
     return str(x)
 
 

@@ -218,10 +218,9 @@ def suite_green():
     for kind, n in _GREEN_CARRIERS:
         S = cached_monoid(kind, n)
         for a, b in itertools.product(S.elements, repeat=2):
-            if leq_R(kind, a, b) != leq_oracle(S, a, b, "R").holds:
-                return False, f"R disagreement at ({a!r}, {b!r}) in {kind}_{n}"
-            if leq_L(kind, a, b) != leq_oracle(S, a, b, "L").holds:
-                return False, f"L disagreement at ({a!r}, {b!r}) in {kind}_{n}"
+            for side, leq in (("R", leq_R), ("L", leq_L)):
+                if leq(kind, a, b) != leq_oracle(S, a, b, side).holds:
+                    return False, f"{side} disagreement at ({a!r}, {b!r}) in {kind}_{n}"
             total += 1
     return True, f"characterizations agree with multiplier search on {total} pairs, both sides"
 
@@ -295,15 +294,14 @@ def suite_chain():
 
 @suite("embeddings")
 def suite_embeddings():
-    pt2 = enumerate_elements("PT", 2)
-    for a, b in itertools.product(pt2, repeat=2):
-        if embed("PT->T", a * b) != embed("PT->T", a) * embed("PT->T", b):
-            return False, f"PT->T breaks at ({a!r}, {b!r})"
-    i2 = enumerate_elements("I", 2)
-    for a, b in itertools.product(i2, repeat=2):
-        if embed("I->P", a * b) != embed("I->P", a) * embed("I->P", b):
-            return False, f"I->P breaks at ({a!r}, {b!r})"
-    return True, f"multiplicative on {len(pt2) ** 2} PT_2 pairs and {len(i2) ** 2} I_2 pairs"
+    counts = []
+    for pair, kind in (("PT->T", "PT"), ("I->P", "I")):
+        elements = enumerate_elements(kind, 2)
+        for a, b in itertools.product(elements, repeat=2):
+            if embed(pair, a * b) != embed(pair, a) * embed(pair, b):
+                return False, f"{pair} breaks at ({a!r}, {b!r})"
+        counts.append(f"{len(elements) ** 2} {kind}_2 pairs")
+    return True, "multiplicative on " + " and ".join(counts)
 
 
 @suite("star")

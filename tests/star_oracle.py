@@ -1,6 +1,6 @@
 """The partition left side by transport, kept as an oracle for the left
-side of the row-parametrised `monoidkit.order.leq_L` and
-`monoidkit.ideals.meet_partition`, which read the lower row directly.
+side of the row-parametrised `monoidkit.order.leq_L` and of
+`monoidkit.ideals.meet("P", "L", ...)`, which read the lower row directly.
 
 Both transport the right side, read on the upper row, through the
 row-swapping anti-involution `star`: a ≤_L b iff a* ≤_R b*, and P·a ∩ P·b
@@ -11,7 +11,7 @@ import itertools
 import random
 
 from monoidkit.elements import enumerate_elements
-from monoidkit.ideals import MeetResult, meet_partition
+from monoidkit.ideals import MeetResult, meet
 from monoidkit.order import leq_R
 
 
@@ -20,7 +20,7 @@ def leq_L_by_star(a, b):
 
 
 def meet_left_by_star(a, b):
-    result = meet_partition("R", a.star(), b.star())
+    result = meet("P", "R", a.star(), b.star())
     if result.empty:
         return result
     return MeetResult.found(result.generator.star())

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import monoidkit
+from monoidkit import cli
 from monoidkit.cli import main
+from monoidkit.ideals import MeetResult
 
 
 def run(capsys, *argv):
@@ -94,6 +101,49 @@ def test_cong_close_witness_refused_before_any_output(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "parse error: position 3: expected a digit\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cong-close", "--kind", "T", "--n", "3", "--pair", "[1,2]", "[2,1]"),
+         "error: pair ([1,2], [2,1]) does not live on 1..3\n"),
+        (("annihilator", "--kind", "T", "--n", "2", "--elem", "[1,1]", "--pair", "[1,2,3]", "[1,1,1]"),
+         "error: pair ([1,2,3], [1,1,1]) does not live on 1..2\n"),
+    ],
+    ids=["cong-close", "annihilator"],
+)
+def test_pair_off_the_ground_set_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_green_oracle_reports_a_wrong_closed_form(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "leq_R", lambda kind, a, b: False)
+    code, out, err = run(capsys, "green", "--kind", "T", "--oracle", "[2,2]", "[1,1]")
+    assert (code, out, err) == (1, "false\n", "oracle-disagreement\n")
+
+
+def test_meet_verify_reports_a_wrong_generator(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "meet", lambda kind, side, a, b: MeetResult.nothing())
+    code, out, err = run(capsys, "meet", "--kind", "PT", "--verify", "[1,2]", "[1,_]")
+    assert (code, out, err) == (1, "EMPTY\n", "oracle-disagreement\n")
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that closes the pipe after one line ends the command with
+    exit code 1 and nothing on stderr, even with unbuffered output."""
+    src = str(Path(monoidkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monoidkit", "verify", "all", "--seed", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=path),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith(b"PASS presentation: ")
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_meet_left_on_t0_is_the_identity(capsys):

@@ -4,14 +4,7 @@ import random
 import pytest
 
 from monoidkit.elements import KINDS, PartialMap, Partition, enumerate_elements
-from monoidkit.ideals import (
-    MeetResult,
-    meet,
-    meet_left,
-    meet_partition,
-    meet_right_pt,
-    verify_meet,
-)
+from monoidkit.ideals import MeetResult, meet, verify_meet
 from monoidkit.order import leq_L, leq_R, leq_oracle
 from monoidkit.verify import cached_monoid
 
@@ -34,29 +27,29 @@ def test_meet_result_is_one_of_two_shapes():
 
 
 def test_meet_right_pt_example(PT2):
-    result = meet_right_pt(PartialMap.identity(2), pm(1, None))
+    result = meet("PT", "R", PartialMap.identity(2), pm(1, None))
     assert result.generator == pm(1, None)
     assert verify_meet(PT2, PartialMap.identity(2), pm(1, None), result, "R")
 
 
 def test_meet_right_pt_same_element(PT2):
     a = pm(1, 1)
-    result = meet_right_pt(a, a)
+    result = meet("PT", "R", a, a)
     gen = result.generator
     assert dom(gen) == dom(a) and ker(gen) == ker(a)
     assert PT2.right_ideal_idx(PT2.index_of(gen)) == PT2.right_ideal_idx(PT2.index_of(a))
 
 
 def test_meet_right_pt_disjoint_domains(PT2):
-    result = meet_right_pt(pm(1, None), pm(None, 2))
+    result = meet("PT", "R", pm(1, None), pm(None, 2))
     assert result.generator == PartialMap.empty(2)
     assert verify_meet(PT2, pm(1, None), pm(None, 2), result, "R")
 
 
 def test_meet_right_preserves_kind():
-    total = meet_right_pt(pm(1, 1, 2), pm(2, 2, 3)).generator
+    total = meet("PT", "R", pm(1, 1, 2), pm(2, 2, 3)).generator
     assert total.is_total
-    injective = meet_right_pt(pm(2, None, 1), pm(2, 3, None)).generator
+    injective = meet("PT", "R", pm(2, None, 1), pm(2, 3, None)).generator
     assert injective.is_injective
 
 
@@ -73,7 +66,7 @@ def _meet_right_pt_by_kernels(a, b):
 
 
 def _assert_meet_right_pt_matches_kernels(a, b):
-    gen = meet_right_pt(a, b).generator
+    gen = meet("PT", "R", a, b).generator
     assert gen == _meet_right_pt_by_kernels(a, b), (a, b)
     assert PartialMap(gen.images) == gen
 
@@ -97,27 +90,20 @@ def test_meet_right_pt_matches_kernel_join_sampled_pt7():
 
 
 def test_meet_left_total_maps_can_be_empty(T2):
-    result = meet_left("T", pm(1, 1), pm(2, 2))
+    result = meet("T", "L", pm(1, 1), pm(2, 2))
     assert result.empty
     assert verify_meet(T2, pm(1, 1), pm(2, 2), result, "L")
 
 
 def test_meet_left_identity_case():
     one = PartialMap.identity(3)
-    assert meet_left("I", one, one).generator == one
+    assert meet("I", "L", one, one).generator == one
 
 
 def test_meet_left_pt_example(PT2):
-    result = meet_left("PT", pm(1, 1), pm(1, None))
+    result = meet("PT", "L", pm(1, 1), pm(1, None))
     assert result.generator == pm(1, None)
     assert verify_meet(PT2, pm(1, 1), pm(1, None), result, "L")
-
-
-def test_meet_left_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        meet_left("P", pm(1, 2), pm(1, 2))
-    with pytest.raises(ValueError, match="does not handle kind 'P'"):
-        meet_left("P", Partition.identity(2), Partition.identity(2))
 
 
 @pytest.mark.parametrize("side", ["R", "L"])
@@ -143,19 +129,19 @@ def test_meet_refuses_bad_input_alike_on_both_sides(side, kind, a, b, message):
 def test_meet_partition_overlapping_upper_blocks_is_empty(P2):
     a = Partition(2, [[1, 2], [-1], [-2]])
     b = Partition(2, [[1], [2, -2], [-1]])
-    result = meet_partition("R", a, b)
+    result = meet("P", "R", a, b)
     assert result.empty
     assert verify_meet(P2, a, b, result, "R")
 
 
 def test_meet_partition_identity_pair():
     one = Partition.identity(2)
-    assert meet_partition("R", one, one).generator == one
+    assert meet("P", "R", one, one).generator == one
 
 
 def test_meet_partition_against_identity():
     a = Partition(2, [[1, 2, -1], [-2]])
-    result = meet_partition("R", a, Partition.identity(2))
+    result = meet("P", "R", a, Partition.identity(2))
     assert result.generator == a
 
 
@@ -164,7 +150,7 @@ def test_meet_partition_straddling_kernel_is_empty(P2):
     # common right multiple can exist even though no block pair overlaps.
     a = Partition(2, [[1, 2, -1], [-2]])
     b = Partition(2, [[1], [2], [-1, -2]])
-    result = meet_partition("R", a, b)
+    result = meet("P", "R", a, b)
     assert result.empty
     assert verify_meet(P2, a, b, result, "R")
 
@@ -214,7 +200,7 @@ def _random_partition(rng, n):
 
 def test_meet_right_partition_matches_kernel_join_exhaustive_p3(P3):
     for a, b in itertools.product(P3.elements, repeat=2):
-        assert meet_partition("R", a, b) == _meet_right_partition_by_kernels(a, b), (a, b)
+        assert meet("P", "R", a, b) == _meet_right_partition_by_kernels(a, b), (a, b)
 
 
 def test_meet_right_partition_matches_kernel_join_sampled_p5_p6():
@@ -223,7 +209,7 @@ def test_meet_right_partition_matches_kernel_join_sampled_p5_p6():
     for n in (5, 6):
         for _ in range(1000):
             a, b = _random_partition(rng, n), _random_partition(rng, n)
-            result = meet_partition("R", a, b)
+            result = meet("P", "R", a, b)
             assert result == _meet_right_partition_by_kernels(a, b), (a, b)
             empty += result.empty
     assert 100 < empty < 1900
@@ -233,12 +219,12 @@ def test_meet_left_partition_is_star_transport():
     """Read on the lower row, the left meet is the right meet transported
     through `star`."""
     for a, b in left_side_pairs(31):
-        assert meet_partition("L", a, b) == meet_left_by_star(a, b), (a, b)
+        assert meet("P", "L", a, b) == meet_left_by_star(a, b), (a, b)
 
 
 def test_meet_left_partition_principal(P2):
     a = Partition(2, [[1, -1], [2], [-2]])
-    result = meet_partition("L", a, a)
+    result = meet("P", "L", a, a)
     assert not result.empty
     assert verify_meet(P2, a, a, result, "L")
 
@@ -270,7 +256,7 @@ def test_partition_emptiness_matches_brute_force(P2):
         brute_empty = not (
             P2.right_ideal_idx(P2.index_of(a)) & P2.right_ideal_idx(P2.index_of(b))
         )
-        assert meet_partition("R", a, b).empty == brute_empty
+        assert meet("P", "R", a, b).empty == brute_empty
 
 
 def test_partition_emptiness_exhaustive_p3(P3):
@@ -279,7 +265,7 @@ def test_partition_emptiness_exhaustive_p3(P3):
         ideal_a = P3.right_ideal_idx(i)
         for j, b in enumerate(P3.elements):
             brute_empty = not (ideal_a & P3.right_ideal_idx(j))
-            assert meet_partition("R", a, b).empty == brute_empty, (a, b)
+            assert meet("P", "R", a, b).empty == brute_empty, (a, b)
 
 
 def test_right_meets_never_empty_for_maps(PT2, T2, I2):
@@ -291,7 +277,7 @@ def test_right_meets_never_empty_for_maps(PT2, T2, I2):
 def test_inverse_monoid_intersections_principal(I3):
     for a, b in itertools.product(I3.elements, repeat=2):
         inter = I3.right_ideal_idx(I3.index_of(a)) & I3.right_ideal_idx(I3.index_of(b))
-        eps = meet_right_pt(a, b).generator
+        eps = meet("PT", "R", a, b).generator
         ideal_eps = I3.right_ideal_idx(I3.index_of(eps))
         assert ideal_eps == inter
         idem = eps * eps.inverse()
@@ -300,18 +286,22 @@ def test_inverse_monoid_intersections_principal(I3):
 
 def test_meet_size_mismatch():
     with pytest.raises(ValueError):
-        meet_right_pt(pm(1, 2), pm(1, 2, 3))
+        meet("PT", "R", pm(1, 2), pm(1, 2, 3))
     with pytest.raises(ValueError):
-        meet_partition("R", Partition.identity(2), Partition.identity(3))
+        meet("P", "R", Partition.identity(2), Partition.identity(3))
 
 
-# One side each, named so that the parametrised ids below name the side.
+# One kind and side each, named so that the parametrised ids below name them.
+def meet_right_pt(a, b):
+    return meet("PT", "R", a, b)
+
+
 def meet_right_partition(a, b):
-    return meet_partition("R", a, b)
+    return meet("P", "R", a, b)
 
 
 def meet_left_partition(a, b):
-    return meet_partition("L", a, b)
+    return meet("P", "L", a, b)
 
 
 @pytest.mark.parametrize(
