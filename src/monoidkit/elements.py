@@ -390,48 +390,39 @@ def enumerate_elements(kind, n):
                         img[x - 1] = v
                     out.append(PartialMap._from_internal(tuple(img)))
         return out
-    if kind == "P":
-        # The points are ascending, so every set partition is canonical.
-        return [Partition._from_internal(n, b) for b in _set_partitions(range(1, 2 * n + 1))]
-    raise ValueError(f"unknown kind {kind!r}")
+    # P: the points are ascending, so every set partition is canonical.
+    return [Partition._from_internal(n, b) for b in _set_partitions(range(1, 2 * n + 1))]
 
 
 def generators(kind, n):
     """The standard generating set of the full monoid of a kind.
 
-    The symmetric group comes from a transposition and an n-cycle; T and PT
-    add the rank n-1 idempotent [1,1,3..n], I and PT the rank n-1 partial
-    identity [_,2..n], and P the projection {1}{1'} and the join {1 2 1' 2'}
-    (each fixing the other points).  Members that would be the identity or a
-    repeat are left out, so the set is smaller for n < 3 and empty for n = 0.
+    The map kinds keep the candidates they contain, of the transposition,
+    the n-cycle, the idempotent [1,1,3..n] and the partial identity
+    [_,2..n].  P takes I's generators through I->P, which makes [_,2..n] the
+    projection {1}{1'}, and adds the join {1 2 1' 2'} (each fixing the other
+    points).  Candidates that would be the identity or a repeat are left
+    out, so the set is smaller for n < 3 and empty for n = 0.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     rest = list(range(3, n + 1))
-    images = []
-    if n >= 2:
-        images.append([2, 1] + rest)
-    if n >= 3:
-        images.append(list(range(2, n + 1)) + [1])
     if kind == "P":
-        gens = [
-            Partition._from_internal(n, tuple([(x, n + v) for x, v in enumerate(perm, start=1)]))
-            for perm in images
-        ]
-        if n >= 1:
-            gens.append(Partition._from_internal(
-                n, tuple(sorted([(1,), (n + 1,)] + [(x, n + x) for x in range(2, n + 1)]))))
+        gens = [embed("I->P", g) for g in generators("I", n)]
         if n >= 2:
             gens.append(Partition._from_internal(
                 n, ((1, 2, n + 1, n + 2),) + tuple([(x, n + x) for x in rest])))
         return gens
-    if kind in ("T", "PT") and n >= 2:
-        images.append([1, 1] + rest)
-    if kind in ("I", "PT") and n >= 1:
-        images.append([None] + list(range(2, n + 1)))
-    return [PartialMap._from_internal(tuple(img)) for img in images]
+    candidates = (
+        ([2, 1] + rest, n >= 2),
+        ([*range(2, n + 1), 1], n >= 3),
+        ([1, 1] + rest, n >= 2),
+        ([None, *range(2, n + 1)], n >= 1),
+    )
+    maps = [PartialMap._from_internal(tuple(images)) for images, fits in candidates if fits]
+    return [g for g in maps if is_kind(g, kind)]
 
 
 EMBEDDINGS = ("I->PT", "I->P", "PT->T")

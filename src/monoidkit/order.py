@@ -7,8 +7,8 @@ one routine serves both sides.  It reads the row that the side's multiplier
 leaves alone, the upper row for ≤_R and the lower one for ≤_L: the points
 of each block of b on that row must lie in one block of a, and a block of b
 with no point on the other row must be a block of a.  `leq_oracle` answers
-the same question by exhaustive multiplier search over an enumerated monoid
-and returns the witness it finds.
+the same question over an enumerated monoid, from the principal ideal's
+bitmask, and scans the product row only to find a witness.
 """
 
 from __future__ import annotations
@@ -64,16 +64,14 @@ def _leq_partition(a, b, lower):
 
 
 def leq_oracle(S, a, b, side="R") -> OrderVerdict:
-    """The first s in S with b*s == a (side R) or s*b == a (side L), found
-    in b's product row in S or in its opposite."""
+    """The first s in S with b*s == a (side R) or s*b == a (side L): a is
+    in b's ideal by its cached bitmask in S or in its opposite, and only
+    then is b's product row scanned for s."""
     sided = S.on_side(side)
     ia, ib = S.index_of(a), S.index_of(b)
-    products = sided.row(ib)
-    try:
-        s = products.index(ia)
-    except ValueError:
+    if not sided.right_ideal_idx(ib) >> ia & 1:
         return OrderVerdict(False)
-    return OrderVerdict(True, S.elements[s])
+    return OrderVerdict(True, S.elements[sided.row(ib).index(ia)])
 
 
 def is_idempotent(x) -> bool:

@@ -198,7 +198,7 @@ def _presentation_sides(max_k: int):
         yield nf_of_word(lhs), nf_of_word(rhs)
     e = PUNCTURE
     for k in range(1, max_k + 1):
-        gk, hk = nf_power(SHIFT_UP, k), nf_power(SHIFT_DOWN, k)
+        gk, hk = NF._from_internal((), k), NF._from_internal((), -k)
         eg, eh, ge, he = nf_mul(e, gk), nf_mul(e, hk), nf_mul(gk, e), nf_mul(hk, e)
         yield nf_mul(eg, eh), nf_mul(ge, he)
         yield nf_mul(eh, eg), nf_mul(he, ge)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 
-from .elements import PartialMap, Partition, require_kind
+from .elements import PartialMap, Partition, is_kind
 from .pmonoid import NF, nf_of_word
 
 
@@ -233,11 +233,9 @@ def parse_element(kind: str, text: str):
     """Parse by kind; T/PT/I/P are element kinds, NF and word are shift maps."""
     if kind in ("T", "PT", "I"):
         element = parse_partial_map(text)
-        try:
-            require_kind(element, kind)
-        except ValueError:
+        if not is_kind(element, kind):
             detail = "entries must be distinct" if kind == "I" else "no entry may be _"
-            raise ParseError(f"not a {kind} element: {detail}", 0) from None
+            raise ParseError(f"not a {kind} element: {detail}", 0)
         return element
     if kind == "P":
         return parse_partition(text)

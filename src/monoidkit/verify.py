@@ -98,12 +98,16 @@ def suite(name):
 
 @suite("presentation")
 def suite_presentation(max_k: int = 50):
-    return check_presentation(max_k), f"all defining relations hold for k <= {max_k}"
+    if check_presentation(max_k):
+        return True, f"all defining relations hold for k <= {max_k}"
+    return False, f"some defining relation fails for k <= {max_k}"
 
 
 @suite("nc")
 def suite_nc(max_n: int = 50):
-    return check_nc(max_n), f"antichain conditions hold for indices <= {max_n}"
+    if check_nc(max_n):
+        return True, f"antichain conditions hold for indices <= {max_n}"
+    return False, f"some antichain condition fails for indices <= {max_n}"
 
 
 @suite("nf-mul")
@@ -124,7 +128,9 @@ def suite_nf_mul(seed: int = 0):
         interior = slice(margin, 2 * half - margin + 1)
         if composed.images[interior] != direct.images[interior]:
             bad += 1
-    return bad == 0, f"{pair_count} random pairs agree on window interiors ({bad} mismatches)"
+    if bad:
+        return False, f"{bad} of {pair_count} random pairs disagree on window interiors"
+    return True, f"{pair_count} random pairs agree on window interiors (0 mismatches)"
 
 
 _MEET_CARRIERS = (("PT", 3), ("T", 3), ("I", 3), ("P", 2))

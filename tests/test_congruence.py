@@ -7,6 +7,7 @@ import pytest
 
 from monoidkit.congruence import (
     FiniteMonoid,
+    YSequence,
     annihilator,
     is_right_congruence,
     kappa,
@@ -406,6 +407,23 @@ def test_y_sequence_single_step(T2):
 def test_y_sequence_none_for_unrelated(T2):
     rho = rc_close(T2, [(ID2, CONST1)])
     assert y_sequence(rho, ID2, SWAP) is None
+
+
+@pytest.mark.parametrize(
+    "middle,valid",
+    [((CONST1, ID2, SWAP), True), ((CONST1, ID2, ID2), False), ((CONST1, SWAP, SWAP), False)],
+    ids=["valid", "wrong-c", "wrong-d"],
+)
+def test_y_sequence_validate_checks_the_middle_step(middle, valid):
+    """SWAP -> CONST2 -> SWAP -> CONST2 over (1, CONST1); a wrong middle
+    step breaks the chain at the next link."""
+    step = (ID2, CONST1, SWAP)
+    assert YSequence(SWAP, CONST2, (step, middle, step)).validate() is valid
+
+
+def test_finite_monoid_needs_an_identity():
+    with pytest.raises(ValueError, match="^a monoid needs at least an identity$"):
+        FiniteMonoid([])
 
 
 def test_membership_iff_validating_witness(PT2):

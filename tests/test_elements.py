@@ -331,6 +331,69 @@ def test_generators_reach_every_element(kind, n):
     assert reached == set(enumerate_elements(kind, n))
 
 
+STANDARD_GENERATORS = {
+    ("T", 0): [],
+    ("T", 1): [],
+    ("T", 2): ["[2,1]", "[1,1]"],
+    ("T", 3): ["[2,1,3]", "[2,3,1]", "[1,1,3]"],
+    ("T", 4): ["[2,1,3,4]", "[2,3,4,1]", "[1,1,3,4]"],
+    ("PT", 0): [],
+    ("PT", 1): ["[_]"],
+    ("PT", 2): ["[2,1]", "[1,1]", "[_,2]"],
+    ("PT", 3): ["[2,1,3]", "[2,3,1]", "[1,1,3]", "[_,2,3]"],
+    ("PT", 4): ["[2,1,3,4]", "[2,3,4,1]", "[1,1,3,4]", "[_,2,3,4]"],
+    ("I", 0): [],
+    ("I", 1): ["[_]"],
+    ("I", 2): ["[2,1]", "[_,2]"],
+    ("I", 3): ["[2,1,3]", "[2,3,1]", "[_,2,3]"],
+    ("I", 4): ["[2,1,3,4]", "[2,3,4,1]", "[_,2,3,4]"],
+    ("P", 0): [],
+    ("P", 1): ["{1}{1'}"],
+    ("P", 2): ["{1 2'}{2 1'}", "{1}{2 2'}{1'}", "{1 2 1' 2'}"],
+    ("P", 3): ["{1 2'}{2 1'}{3 3'}", "{1 2'}{2 3'}{3 1'}", "{1}{2 2'}{3 3'}{1'}", "{1 2 1' 2'}{3 3'}"],
+    ("P", 4): ["{1 2'}{2 1'}{3 3'}{4 4'}", "{1 2'}{2 3'}{3 4'}{4 1'}",
+               "{1}{2 2'}{3 3'}{4 4'}{1'}", "{1 2 1' 2'}{3 3'}{4 4'}"],
+}
+
+
+@pytest.mark.parametrize("kind,n", list(STANDARD_GENERATORS))
+def test_generators_are_the_standard_lists(kind, n):
+    """The members and their order, which the left factor tree's
+    breadth-first walk, and so every composed row, depends on."""
+    assert [str(g) for g in generators(kind, n)] == STANDARD_GENERATORS[kind, n]
+
+
+def _outcome(call):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: PartialMap((1, 1)).inverse(), (ValueError, "only injective partial maps have an inverse")),
+        (lambda: pm(2, None)(1), 2),
+        (lambda: pm(2, None)(2), None),
+        (lambda: pm(2, None)(0), (ValueError, "point 0 outside 1..2")),
+        (lambda: pm(2, None)(3), (ValueError, "point 3 outside 1..2")),
+        (lambda: generators("X", 2), (ValueError, "unknown kind 'X'")),
+        (lambda: PartialMap.identity(2) * 3,
+         (TypeError, "unsupported operand type(s) for *: 'PartialMap' and 'int'")),
+        (lambda: 3 * Partition.identity(2),
+         (TypeError, "unsupported operand type(s) for *: 'int' and 'Partition'")),
+        (lambda: Partition.identity(2) * PartialMap.identity(2),
+         (TypeError, "unsupported operand type(s) for *: 'Partition' and 'PartialMap'")),
+    ],
+    ids=["inverse-not-injective", "call-defined", "call-undefined", "call-below", "call-above",
+         "generators-unknown-kind", "map-times-int", "int-times-partition", "partition-times-map"],
+)
+def test_refusals_and_point_lookups(call, expected):
+    assert _outcome(call) == expected
+
+
 # --- embeddings --------------------------------------------------------------
 
 

@@ -380,3 +380,11 @@ def test_map_meets_equal_validated(kind):
                 result = meet(kind, side, a, b)
                 if not result.empty:
                     assert result.generator == PartialMap(result.generator.images), (a, b, side)
+
+
+@pytest.mark.parametrize("side", ["R", "L"])
+def test_verify_meet_refutes_a_generator_outside_the_monoid(T2, side):
+    # a meets itself in a; the same answer with a generator outside T_2 is
+    # refuted before any ideal is compared.
+    assert verify_meet(T2, pm(1, 1), pm(1, 1), MeetResult.found(pm(1, 1)), side)
+    assert not verify_meet(T2, pm(1, 1), pm(1, 1), MeetResult.found(pm(1, None)), side)

@@ -5,6 +5,7 @@ import pytest
 from monoidkit.congruence import FiniteMonoid
 from monoidkit.elements import PartialMap, Partition, enumerate_elements
 from monoidkit.order import (
+    OrderVerdict,
     generalized_inverses,
     is_idempotent,
     leq_L,
@@ -64,6 +65,18 @@ def test_oracle_finds_witness(T2):
         assert v.holds and v.witness == T2.elements[0]
 
 
+def test_oracle_returns_the_first_multiplier_by_product_search(PT3, T3, I3, P2):
+    """The bitmask verdict and the row-scan witness against products formed
+    afresh: the first s, in element order, with b*s == a (R) or s*b == a (L)."""
+    for S in (PT3, T3, I3, P2):
+        for b in S.elements:
+            for side, products in (("R", [b * s for s in S.elements]), ("L", [s * b for s in S.elements])):
+                for a in S.elements:
+                    first = products.index(a) if a in products else None
+                    expected = OrderVerdict(False) if first is None else OrderVerdict(True, S.elements[first])
+                    assert leq_oracle(S, a, b, side) == expected, (a, b, side)
+
+
 def test_oracle_on_foreign_element(T2):
     with pytest.raises(ValueError):
         leq_oracle(T2, pm(1, None), pm(1, 2), "R")
@@ -116,6 +129,16 @@ def test_natural_leq_examples():
 def test_natural_leq_rejects_non_idempotents():
     with pytest.raises(ValueError):
         natural_leq(pm(2, 1), PartialMap.identity(2))
+
+
+@pytest.mark.parametrize(
+    "e,f",
+    [(pm(2, 1), PartialMap.identity(2)), (PartialMap.identity(2), pm(2, 1)), (pm(2, 1), pm(2, 1))],
+    ids=["e", "f", "both"],
+)
+def test_natural_leq_names_the_first_non_idempotent(e, f):
+    with pytest.raises(ValueError, match=r"^PartialMap\(\[2,1\]\) is not idempotent$"):
+        natural_leq(e, f)
 
 
 def test_natural_order_implies_green_orders(PT3, P2):

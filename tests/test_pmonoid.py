@@ -380,6 +380,29 @@ def test_nc_holds():
     assert check_nc(50)
 
 
+def test_checkers_fail_when_products_drop_punctures(monkeypatch):
+    """With a product that ignores b's punctures, e·g^k·e·h^k loses the
+    second puncture and e no longer commutes with g^k e h^k."""
+    monkeypatch.setattr(pmonoid, "nf_mul", lambda a, b: NF._from_internal(a.excluded, a.shift + b.shift))
+    assert check_presentation(5) is False
+    assert check_nc(5) is False
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: SHIFT_UP * 1, "unsupported operand type(s) for *: 'NF' and 'int'"),
+        (lambda: 1 * SHIFT_UP, "unsupported operand type(s) for *: 'int' and 'NF'"),
+        (lambda: PUNCTURE * PartialMap.identity(1), "unsupported operand type(s) for *: 'NF' and 'PartialMap'"),
+    ],
+    ids=["nf-times-int", "int-times-nf", "nf-times-map"],
+)
+def test_nf_refuses_a_foreign_operand(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # --- divisibility in normal form -------------------------------------------------
 
 

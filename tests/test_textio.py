@@ -383,3 +383,10 @@ def test_render_golden_p2():
     rendered = "".join(render_partition(a) for a in enumerate_elements("P", 2))
     golden = (DATA / "p2_render.dot").read_text()
     assert rendered == golden
+
+
+@pytest.mark.parametrize("kind,text", [("X", "[1]"), ("t", "[1]"), ("", "{1 1'}")])
+def test_parse_element_refuses_an_unknown_kind(kind, text):
+    with pytest.raises(ValueError, match=f"^unknown kind {kind!r}$") as info:
+        parse_element(kind, text)
+    assert not isinstance(info.value, ParseError)
