@@ -28,8 +28,7 @@ import itertools
 import operator
 import struct
 from array import array
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .elements import enumerate_elements, find, generators, identity_of, is_left, joining, min_root_join
 
@@ -237,16 +236,20 @@ class FiniteMonoid:
         return f"FiniteMonoid({len(self.elements)} elements)"
 
 
-@dataclass(frozen=True)
-class YSequence:
+class YSequence(namedtuple("YSequence", "start end steps")):
     """A factorization chain start = c1*t1, d1*t1 = c2*t2, ..., dm*tm = end.
 
     Each step is a triple (c, d, t); an empty chain asserts start == end.
+    Its length is the number of steps, not of fields.
     """
 
-    start: object
-    end: object
-    steps: tuple
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        """The fields in order; namedtuple's own `_make`, which `_replace`
+        calls, would check their count against `len`."""
+        return cls(*iterable)
 
     def __len__(self):
         return len(self.steps)

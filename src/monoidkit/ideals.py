@@ -10,20 +10,25 @@ point.  One partition kernel serves both sides; a side chooses the row read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .congruence import FiniteMonoid
 from .elements import PartialMap, Partition, check_pair, min_root_join, row_points
 
 
-@dataclass(frozen=True)
-class MeetResult:
-    generator: object | None
-    empty: bool
+class MeetResult(namedtuple("MeetResult", "generator empty")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.empty == (self.generator is not None):
+    def __new__(cls, generator, empty):
+        if empty == (generator is not None):
             raise ValueError("exactly one of generator/empty must be set")
+        return super().__new__(cls, generator, empty)
+
+    @classmethod
+    def _make(cls, iterable):
+        """The fields in order, refused as by the constructor; namedtuple's
+        own `_make`, which `_replace` calls, would skip the check."""
+        return cls(*iterable)
 
     @classmethod
     def found(cls, generator):

@@ -13,15 +13,14 @@ bitmask, and scans the product row only to find a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections import namedtuple
 
 from .elements import check_pair, row_points
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    holds: bool
-    witness: object | None = None
+class OrderVerdict(namedtuple("OrderVerdict", "holds witness", defaults=(None,))):
+    __slots__ = ()
 
 
 def leq_R(kind, a, b) -> bool:
@@ -71,7 +70,24 @@ def leq_oracle(S, a, b, side="R") -> OrderVerdict:
     ia, ib = S.index_of(a), S.index_of(b)
     if not sided.right_ideal_idx(ib) >> ia & 1:
         return OrderVerdict(False)
-    return OrderVerdict(True, S.elements[sided.row(ib).index(ia)])
+    return OrderVerdict(True, S.elements[_first_index(sided.row(ib), ia)])
+
+
+def _first_index(row, value):
+    """row.index(value) for a `bytes` or `array` product row.
+
+    An array's `.index` builds an int per entry, so an array row's bytes are
+    searched for the packed value instead; a match that starts inside an
+    entry is skipped.  Like `.index`, it raises ValueError when value is
+    absent.
+    """
+    if type(row) is bytes:
+        return row.index(value)
+    raw, packed, size = row.tobytes(), array(row.typecode, (value,)).tobytes(), row.itemsize
+    at = raw.index(packed)
+    while at % size:
+        at = raw.index(packed, at + 1)
+    return at // size
 
 
 def is_idempotent(x) -> bool:

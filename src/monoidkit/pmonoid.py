@@ -16,26 +16,25 @@ reached from a generating set within given resource bounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .congruence import YSequence
 from .elements import PartialMap
 
 
-@dataclass(frozen=True)
 class NF:
     """Normal form: strictly increasing excluded integers plus a shift."""
 
-    excluded: tuple
-    shift: int
+    __slots__ = ("excluded", "shift")
 
-    def __post_init__(self):
-        ex = self.excluded
-        if type(ex) is not tuple or any(type(x) is not int for x in ex) or type(self.shift) is not int:
-            raise ValueError(f"NF needs a tuple of ints and an int shift, got {ex!r}, {self.shift!r}")
-        if any(ex[i] >= ex[i + 1] for i in range(len(ex) - 1)):
-            raise ValueError(f"excluded set {ex} must be strictly increasing")
+    def __init__(self, excluded, shift):
+        if type(excluded) is not tuple or any(type(x) is not int for x in excluded) or type(shift) is not int:
+            raise ValueError(f"NF needs a tuple of ints and an int shift, got {excluded!r}, {shift!r}")
+        if any(excluded[i] >= excluded[i + 1] for i in range(len(excluded) - 1)):
+            raise ValueError(f"excluded set {excluded} must be strictly increasing")
+        _set_excluded(self, excluded)
+        _set_shift(self, shift)
 
     @classmethod
     def _from_internal(cls, excluded, shift):
@@ -44,14 +43,24 @@ class NF:
         The caller guarantees that `excluded` is a tuple of strictly
         increasing ints, as `tuple(sorted(some_set))` is, or a strictly
         increasing tuple shifted by a constant; outside input goes through
-        `NF(...)` instead.  The fields are written straight into the instance
-        dict, past the frozen dataclass's `__setattr__`.
+        `NF(...)` instead.  The fields are stored through the slot
+        descriptors, past the refusing `__setattr__`.
         """
         self = object.__new__(cls)
-        fields = self.__dict__
-        fields["excluded"] = excluded
-        fields["shift"] = shift
+        _set_excluded(self, excluded)
+        _set_shift(self, shift)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NF is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shift == other.shift and self.excluded == other.excluded
+
+    def __hash__(self):
+        return hash((self.excluded, self.shift))
 
     def __mul__(self, other):
         if not isinstance(other, NF):
@@ -65,6 +74,9 @@ class NF:
         return "NF({%s}, %+d)" % (",".join(map(str, self.excluded)), self.shift)
 
 
+_set_excluded = NF.excluded.__set__
+_set_shift = NF.shift.__set__
+
 NF_IDENTITY = NF((), 0)
 SHIFT_UP = NF((), 1)
 SHIFT_DOWN = NF((), -1)
@@ -76,20 +88,22 @@ def nf_mul(a: NF, b: NF) -> NF:
     x + a.shift avoids b's punctures.
 
     The excluded set is a's punctures together with b's shifted by
-    -a.shift.  When b has none, it is a's tuple; when a has none, b's tuple
-    shifted by a constant is still strictly increasing.  Otherwise the
-    union is sorted.
+    -a.shift.  When b has none, it is a's tuple, and a itself when b is
+    the identity; when a has none, b's tuple shifted by a constant is still
+    strictly increasing.  Otherwise the union is sorted.
     """
-    s = a.shift
-    if not b.excluded:
-        excluded = a.excluded
-    elif not a.excluded:
-        excluded = tuple([x - s for x in b.excluded])
+    excluded, s = a.excluded, a.shift
+    theirs, t = b.excluded, b.shift
+    if not theirs:
+        if not t:
+            return a
+    elif not excluded:
+        excluded = tuple([x - s for x in theirs])
     else:
-        merged = set(a.excluded)
-        merged.update(x - s for x in b.excluded)
+        merged = set(excluded)
+        merged.update([x - s for x in theirs])
         excluded = tuple(sorted(merged))
-    return NF._from_internal(excluded, s + b.shift)
+    return NF._from_internal(excluded, s + t)
 
 
 def nf_power(a: NF, k: int) -> NF:
@@ -261,11 +275,8 @@ def _below(e, f):
     return nf_mul(f, e) == e and nf_mul(e, f) == e
 
 
-@dataclass(frozen=True)
-class AnnihilatorVerdict:
-    member: bool
-    n: int | None = None
-    side: str | None = None
+class AnnihilatorVerdict(namedtuple("AnnihilatorVerdict", "member n side", defaults=(None, None))):
+    __slots__ = ()
 
 
 def _annihilator_decision(u: NF, v: NF):
@@ -359,8 +370,9 @@ def divide_left(c: NF, u: NF):
     return out
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(namedtuple(
+    "ChainReport", "n y_index reached explored depth pruned max_excluded max_magnitude max_length exhausted"
+)):
     """Outcome of a bounded reachability search.
 
     `pruned` counts successor states that were discarded for exceeding the
@@ -374,16 +386,7 @@ class ChainReport:
     evidence for the stated bounds only.
     """
 
-    n: int
-    y_index: int
-    reached: bool
-    explored: int
-    depth: int | None
-    pruned: int
-    max_excluded: int
-    max_magnitude: int
-    max_length: int
-    exhausted: bool
+    __slots__ = ()
 
 
 def chain_search(

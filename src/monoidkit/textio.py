@@ -246,8 +246,7 @@ def parse_element(kind: str, text: str):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def format_element(x) -> str:
-    return str(x)
+format_element = str
 
 
 def render_partition(a: Partition) -> str:

@@ -9,11 +9,10 @@ The CLI `verify` subcommand and the acceptance test module both run these.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, wraps
 
 from .congruence import (
@@ -43,12 +42,8 @@ from .pmonoid import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+class SuiteResult(namedtuple("SuiteResult", "name ok detail seconds")):
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail} ({self.seconds:.2f}s)"
@@ -80,7 +75,8 @@ def suite(name):
     """Register a suite body under `name`, in definition order.
 
     The registered callable takes the body's arguments, times the body and
-    returns its (ok, detail) outcome as a SuiteResult.
+    returns its (ok, detail) outcome as a SuiteResult.  Its `takes` names
+    which of the seed and the presentation and nc bounds the body takes.
     """
 
     def register(body):
@@ -90,6 +86,8 @@ def suite(name):
             ok, detail = body(*args, **kwargs)
             return SuiteResult(name, ok, detail, time.perf_counter() - start)
 
+        code = body.__code__
+        timed.takes = [key for key in ("seed", "max_k", "max_n") if key in code.co_varnames[:code.co_argcount]]
         SUITES[name] = timed
         return timed
 
@@ -337,6 +335,5 @@ def run_suite(name: str, seed: int = 0, max_k: int = 50, max_n: int = 50) -> Sui
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")
-    accepted = inspect.signature(fn).parameters
     options = {"seed": seed, "max_k": max_k, "max_n": max_n}
-    return fn(**{key: value for key, value in options.items() if key in accepted})
+    return fn(**{key: options[key] for key in fn.takes})

@@ -17,9 +17,9 @@ def pm(*images):
 
 
 def test_meet_result_is_one_of_two_shapes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exactly one of generator/empty must be set$"):
         MeetResult(None, False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exactly one of generator/empty must be set$"):
         MeetResult(pm(1, 2), True)
 
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+from array import array
 
 import pytest
 
@@ -12,7 +14,9 @@ from monoidkit.order import (
     leq_R,
     leq_oracle,
     natural_leq,
+    _first_index,
 )
+from monoidkit.verify import cached_monoid
 
 from kernel_oracle import dom, ker, kerhat, leq_R_by_kernels, pairs
 from star_oracle import left_side_pairs, leq_L_by_star
@@ -75,6 +79,33 @@ def test_oracle_returns_the_first_multiplier_by_product_search(PT3, T3, I3, P2):
                     first = products.index(a) if a in products else None
                     expected = OrderVerdict(False) if first is None else OrderVerdict(True, S.elements[first])
                     assert leq_oracle(S, a, b, side) == expected, (a, b, side)
+
+
+def test_oracle_witness_on_two_byte_rows_is_the_first_multiplier():
+    """PT_4's 625 elements give `array('H')` rows, whose bytes are searched."""
+    S = cached_monoid("PT", 4)
+    assert S.row(1).typecode == "H" and S.opposite().row(1).typecode == "H"
+    rng = random.Random(4)
+    for side in ("R", "L"):
+        for b in rng.sample(S.elements, 30):
+            products = [b * s for s in S.elements] if side == "R" else [s * b for s in S.elements]
+            for a in rng.sample(sorted(set(products), key=S.index_of), 5):
+                assert leq_oracle(S, a, b, side) == OrderVerdict(True, S.elements[products.index(a)]), (a, b, side)
+
+
+@pytest.mark.parametrize("code", ["H", "I"])
+def test_first_index_skips_a_match_inside_an_entry(code):
+    """The value's bytes first occur one byte into entry 0; its only aligned
+    occurrence is entry 2."""
+    size = array(code).itemsize
+    value = int.from_bytes(bytes(range(1, size + 1)), "little")
+    packed = array(code, [value]).tobytes()
+    row = array(code, b"\0" + packed + b"\0" * (size - 1) + packed)
+    assert row.tobytes().find(packed) == 1
+    assert _first_index(row, value) == row.index(value) == 2
+    assert _first_index(b"\3\1\1", 1) == 1
+    with pytest.raises(ValueError):
+        _first_index(row, value + 1)
 
 
 def test_oracle_on_foreign_element(T2):

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -666,7 +665,7 @@ def test_chain_cost_does_not_grow_with_y_index():
     for n in (2, 3, 4):
         report = chain_search(n, y_index=10 ** 12)
         assert report.reached and report.depth == 1
-        assert replace(report, y_index=n) == chain_search(n, y_index=n)
+        assert report._replace(y_index=n) == chain_search(n, y_index=n)
 
 
 def test_chain_endpoints_closed_form_match_words():
@@ -689,7 +688,7 @@ def test_chain_cost_does_not_grow_with_n():
     # only (1, e) applies, so a 12-digit n gives the report of a small one.
     small = chain_search(5)
     for n in (10 ** 12, 10 ** 12 + 1):
-        expected = replace(small, n=n, y_index=n - 1, max_excluded=n + 2, max_magnitude=3 * n)
+        expected = small._replace(n=n, y_index=n - 1, max_excluded=n + 2, max_magnitude=3 * n)
         assert chain_search(n) == expected
 
 

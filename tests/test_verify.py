@@ -1,8 +1,6 @@
 """Every suite can fail: with one construction broken, its verdict turns to
 FAIL and its detail says where, both from `run_suite` and on the CLI."""
 
-from dataclasses import replace
-
 import pytest
 
 from monoidkit import verify
@@ -63,7 +61,7 @@ def never_empty(kind, side, a, b):
          "annihilator of idempotent PartialMap([1,1,1]) in T_3 differs"),
         ("ann-decision", {"in_annihilator": lambda u, v: AnnihilatorVerdict(False)},
          "constructed pair rejected: (NF({-2,1,9}, -6), NF({-3,-1,0,8}, -5))"),
-        ("chain", {"chain_search": lambda n, **bounds: replace(real_chain_search(n, **bounds), reached=True)},
+        ("chain", {"chain_search": lambda n, **bounds: real_chain_search(n, **bounds)._replace(reached=True)},
          "target for n=2 reached under Y_1 within bounds"),
         ("star", {(Partition, "star"): lambda self: self},
          "involution/sandwich law fails at Partition(2, '{1}{2 1'}{2'}')"),
