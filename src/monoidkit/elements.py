@@ -63,8 +63,8 @@ class PartialMap:
                 continue
             if type(v) is not int or not 1 <= v <= n:
                 raise ValueError(f"image {v!r} outside 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "images", images)
+        _set_map_n(self, n)
+        _set_images(self, images)
 
     @classmethod
     def _from_internal(cls, images):
@@ -72,11 +72,12 @@ class PartialMap:
 
         The caller guarantees that `images` is a tuple whose entries are each
         None or an int in 1..len(images); outside input goes through the
-        validating constructor instead.
+        validating constructor instead.  The fields are stored through the
+        slot descriptors, past the refusing `__setattr__`.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "n", len(images))
-        object.__setattr__(self, "images", images)
+        _set_map_n(self, len(images))
+        _set_images(self, images)
         return self
 
     def __setattr__(self, name, value):
@@ -142,6 +143,10 @@ class PartialMap:
         return f"PartialMap({self})"
 
 
+_set_map_n = PartialMap.n.__set__
+_set_images = PartialMap.images.__set__
+
+
 class Partition:
     """A set partition of the 2n diagram points {1..n} ∪ {1'..n'}.
 
@@ -163,8 +168,8 @@ class Partition:
                     raise ValueError(f"point {p!r} outside ±1..±{n}")
                 pts.append(p if p > 0 else n - p)
             internal.append(pts)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", self._canonical(n, internal))
+        _set_partition_n(self, n)
+        _set_blocks(self, self._canonical(n, internal))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -193,8 +198,8 @@ class Partition:
         tuple of ascending tuples, sorted by their minimum, that cover 1..2n
         once.  Outside input goes through the validating constructor."""
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
+        _set_partition_n(self, n)
+        _set_blocks(self, blocks)
         return self
 
     @classmethod
@@ -266,6 +271,10 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({self.n}, '{self}')"
+
+
+_set_partition_n = Partition.n.__set__
+_set_blocks = Partition.blocks.__set__
 
 
 def row_points(block, n, lower):

@@ -16,6 +16,7 @@ reached from a generating set within given resource bounds.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
@@ -88,17 +89,30 @@ def nf_mul(a: NF, b: NF) -> NF:
     x + a.shift avoids b's punctures.
 
     The excluded set is a's punctures together with b's shifted by
-    -a.shift.  When b has none, it is a's tuple, and a itself when b is
-    the identity; when a has none, b's tuple shifted by a constant is still
-    strictly increasing.  Otherwise the union is sorted.
+    -a.shift; each path below returns it strictly increasing.
+    - a is the identity: the product is b itself.
+    - b has no punctures: a's tuple, and a itself when b is the identity.
+    - a has no punctures: b's tuple minus a constant keeps its order.
+    - a has one puncture x: x + a.shift joins b's tuple at its `bisect`
+      index unless it is there already, which keeps b's order with no
+      repeat; the whole is then shifted by -a.shift.
+    - a has more punctures: the union is sorted.
     """
     excluded, s = a.excluded, a.shift
+    if not excluded and not s:
+        return b
     theirs, t = b.excluded, b.shift
     if not theirs:
         if not t:
             return a
     elif not excluded:
         excluded = tuple([x - s for x in theirs])
+    elif len(excluded) == 1:
+        x = excluded[0] + s
+        i = bisect_left(theirs, x)
+        if i == len(theirs) or theirs[i] != x:
+            theirs = theirs[:i] + (x,) + theirs[i:]
+        excluded = tuple([y - s for y in theirs]) if s else theirs
     else:
         merged = set(excluded)
         merged.update([x - s for x in theirs])
@@ -284,7 +298,8 @@ def _annihilator_decision(u: NF, v: NF):
     eu = nf_mul(PUNCTURE, u)
     ev = nf_mul(PUNCTURE, v)
     d = ev.shift - eu.shift
-    return eu, ev, d, ev.excluded == tuple([x - d for x in eu.excluded])
+    moved = tuple([x - d for x in eu.excluded]) if d else eu.excluded
+    return eu, ev, d, ev.excluded == moved
 
 
 def in_annihilator(u: NF, v: NF) -> AnnihilatorVerdict:

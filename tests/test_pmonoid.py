@@ -185,27 +185,51 @@ def _nf_mul_by_sorting(a, b):
     return NF(tuple(sorted(excluded)), a.shift + b.shift)
 
 
+def _product_path(a, b):
+    """Which of `nf_mul`'s paths the product a·b takes."""
+    if not a.excluded and not a.shift:
+        return "identity on the left"
+    if not b.excluded:
+        return "b bare"
+    if not a.excluded:
+        return "a bare"
+    if len(a.excluded) == 1:
+        shift = "shift 0" if not a.shift else "shifted"
+        seen = "on b's" if a.excluded[0] in {x - a.shift for x in b.excluded} else "off b's"
+        return f"one puncture, {shift}, {seen}"
+    return "sorted"
+
+
 def test_product_fast_paths_match_sorting():
     rng = random.Random(23)
-    paths = {"b bare": 0, "a bare": 0, "same punctures": 0, "sorted": 0}
-    for _ in range(3000):
+    paths = dict.fromkeys([
+        "identity on the left", "b bare", "a bare", "sorted",
+        "one puncture, shift 0, on b's", "one puncture, shift 0, off b's",
+        "one puncture, shifted, on b's", "one puncture, shifted, off b's",
+    ], 0)
+    for _ in range(5000):
         a, b = random_nf(rng), random_nf(rng)
-        draw = rng.randrange(4)
+        draw = rng.randrange(7)
         if draw == 0:
             b = NF((), b.shift)
         elif draw == 1:
             a = NF((), a.shift)
         elif draw == 2:
+            a = NF((), 0)
+        elif draw in (3, 4):
+            # One puncture on the left, at shift 0 or not; half of the time
+            # it is one of b's punctures shifted by -a.shift.
+            shift = 0 if draw == 3 else a.shift or 1
+            x = rng.choice(b.excluded) - shift if b.excluded and rng.randrange(2) else rng.randint(-10, 10)
+            a = NF((x,), shift)
+        elif draw == 5:
             a, b = NF(a.excluded, 0), NF(a.excluded, b.shift)
-        if not b.excluded:
-            paths["b bare"] += 1
-        elif not a.excluded:
-            paths["a bare"] += 1
-        elif not a.shift and a.excluded == b.excluded:
-            paths["same punctures"] += 1
-        else:
-            paths["sorted"] += 1
-        assert nf_mul(a, b) == _nf_mul_by_sorting(a, b), (a, b)
+        product = nf_mul(a, b)
+        assert product == _nf_mul_by_sorting(a, b), (a, b)
+        path = _product_path(a, b)
+        if path == "identity on the left":
+            assert product is b
+        paths[path] += 1
     assert min(paths.values()) > 100, paths
 
 
