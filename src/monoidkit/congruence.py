@@ -263,11 +263,10 @@ class YSequence(namedtuple("YSequence", "start end steps")):
         return current == self.end
 
     def uses_only(self, pairs) -> bool:
-        allowed = set()
-        for a, b in pairs:
-            allowed.add((a, b))
-            allowed.add((b, a))
-        return all((c, d) in allowed for c, d, _ in self.steps)
+        """Whether each step's (c, d) is one of `pairs` in either orientation.
+        A set or frozenset argument is copied without rehashing its pairs."""
+        allowed = set(pairs)
+        return all((c, d) in allowed or (d, c) in allowed for c, d, _ in self.steps)
 
 
 def _classes(labels):

@@ -168,22 +168,24 @@ def nf_window(a: NF, half_width: int) -> PartialMap:
     """Restrict the represented map to the integer window [-N, N].
 
     Returned as a partial bijection on 1..2N+1 via x -> x + N + 1.  The window
-    must be wide enough to contain every puncture and survive the shift.
+    must be wide enough to contain every puncture and survive the shift; the
+    punctures are strictly increasing, so the widest is at one end.
     Window index i maps to i + shift + 1 while that lies in 1..2N+1, so the
     images are one slice of the padded run 1..2N+1 with 2N+1 Nones on either
     side; then each puncture x is cleared at index x + N.  Every image is None
     or a point of 1..2N+1, so the result needs no re-validation.
     """
-    needed = max(map(abs, a.excluded), default=0) + abs(a.shift)
+    excluded = a.excluded
+    needed = (max(-excluded[0], excluded[-1]) if excluded else 0) + abs(a.shift)
     if half_width < needed:
         raise ValueError(f"window half-width {half_width} < required {needed}")
     n = half_width
     size = 2 * n + 1
     start = size + a.shift
     images = _padded_run(size)[start:start + size]
-    if a.excluded:
+    if excluded:
         images = list(images)
-        for x in a.excluded:
+        for x in excluded:
             images[x + n] = None
         images = tuple(images)
     return PartialMap._from_internal(images)

@@ -60,10 +60,16 @@ def delta(S: FiniteMonoid) -> RightCongruence:
 
 
 def _random_nf(rng, max_excluded, max_coord) -> NF:
-    k = rng.randint(0, max_excluded)
-    # Distinct draws, sorted: strictly increasing, so no re-validation.
-    excluded = tuple(sorted(rng.sample(range(-max_coord, max_coord + 1), k)))
-    return NF._from_internal(excluded, rng.randint(-max_coord, max_coord))
+    """k uniform on 0..max_excluded, then k distinct punctures (a repeat is
+    redrawn, so each k-subset is equally likely) and a shift, each uniform on
+    [-max_coord, max_coord]; sorted, the punctures need no re-validation."""
+    random = rng.random
+    span = 2 * max_coord + 1
+    k = int(random() * (max_excluded + 1))
+    excluded = set()
+    while len(excluded) < k:
+        excluded.add(int(random() * span) - max_coord)
+    return NF._from_internal(tuple(sorted(excluded)), int(random() * span) - max_coord)
 
 
 # --- suite bodies ---------------------------------------------------------
@@ -250,6 +256,7 @@ def _accepted_annihilator_pair(rng):
 def suite_ann_decision(seed: int = 0):
     count = 1000
     rng = random.Random(seed + 9)
+    level = lru_cache(maxsize=None)(lambda n: frozenset(y_n(n)))
     for _ in range(count):
         u, v = _accepted_annihilator_pair(rng)
         verdict = in_annihilator(u, v)
@@ -258,7 +265,7 @@ def suite_ann_decision(seed: int = 0):
         witness = annihilator_witness(u, v)
         if not witness.validate(nf_mul):
             return False, f"witness fails for ({u!r}, {v!r})"
-        if len(witness) != 3 or not witness.uses_only(y_n(verdict.n)):
+        if len(witness) != 3 or not witness.uses_only(level(verdict.n)):
             return False, f"witness not a 3-step chain over Y_{verdict.n}"
     ups = [nf_power(SHIFT_UP, k) for k in range(16)]
     downs = [nf_power(SHIFT_DOWN, k) for k in range(16)]
@@ -322,9 +329,10 @@ def suite_star(seed: int = 0):
     p3 = enumerate_elements("P", 3)
     for _ in range(sample):
         a, b = rng.choice(p3), rng.choice(p3)
-        if (a * b).star() != b.star() * a.star() or a.star().star() != a:
+        a_star = a.star()
+        if (a * b).star() != b.star() * a_star or a_star.star() != a:
             return False, f"star law fails at ({a!r}, {b!r})"
-        if a * a.star() * a != a:
+        if a * a_star * a != a:
             return False, f"sandwich law fails at {a!r}"
     return True, f"star laws hold on all {len(p2) ** 2} P_2 pairs and {sample} random P_3 pairs"
 

@@ -481,6 +481,21 @@ def test_witness_three_step_example():
     assert seq.uses_only(y_n(1))
 
 
+@pytest.mark.parametrize("container", [list, frozenset])
+def test_uses_only_takes_either_orientation_and_nothing_else(container):
+    pairs = container(y_n(1))
+    g_pair, h_pair = _y_pair(1), _y_pair(-1)
+    forward = YSequence(NF_IDENTITY, NF_IDENTITY, ((g_pair[0], g_pair[1], NF_IDENTITY),))
+    reversed_ = YSequence(NF_IDENTITY, NF_IDENTITY, ((h_pair[1], h_pair[0], NF_IDENTITY),))
+    assert forward.uses_only(pairs)
+    assert reversed_.uses_only(pairs)
+    assert YSequence(NF_IDENTITY, NF_IDENTITY, ()).uses_only(pairs)
+    outside = YSequence(NF_IDENTITY, NF_IDENTITY, (forward.steps[0], (SHIFT_UP, SHIFT_DOWN, NF_IDENTITY)))
+    assert not outside.uses_only(pairs)
+    level_two = _y_pair(2)
+    assert not YSequence(NF_IDENTITY, NF_IDENTITY, ((level_two[1], level_two[0], NF_IDENTITY),)).uses_only(pairs)
+
+
 def test_witness_requires_membership():
     with pytest.raises(ValueError):
         annihilator_witness(SHIFT_UP, NF_IDENTITY)
