@@ -377,14 +377,16 @@ def enumerate_elements(kind, n):
     """Complete, duplicate-free, deterministic enumeration of a kind.
 
     Refuses to run when the predicted count exceeds `DEFAULT_ENUM_CAP`.
+    Every kind's count grows with n and passes the cap at n = 8, so a larger
+    n is refused on the count at 8, and its own, of any size, is not worked out.
     Every element is built in canonical form, so none is re-validated.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    count = element_count(kind, n)
+    count = element_count(kind, min(n, 8))
     if count > DEFAULT_ENUM_CAP:
-        raise ValueError(f"enumerating {kind}_{n} would produce {count} elements"
-                         f" (cap {DEFAULT_ENUM_CAP})")
+        amount = count if n <= 8 else f"more than {count}"
+        raise ValueError(f"enumerating {kind}_{n} would produce {amount} elements (cap {DEFAULT_ENUM_CAP})")
     if kind in ("T", "PT"):
         vals = ([None] if kind == "PT" else []) + list(range(1, n + 1))
         return list(map(PartialMap._from_internal, itertools.product(vals, repeat=n)))

@@ -2,8 +2,8 @@
 
 An element is the partial bijection x -> x + shift defined on the integers
 outside a finite excluded set; the pair (excluded, shift) is a canonical
-normal form, multiplied by a closed-form rule that is oracle-checked against
-windowed composition in the test suite.  Words over the alphabet
+normal form, multiplied by a closed-form rule that is checked pointwise on
+ℤ and against windowed composition in the tests.  Words over the alphabet
 g (shift up), h (shift down), e (puncture at 0) evaluate left to right.
 
 On top of the arithmetic sit the structural checkers: the defining relation
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
 
 from .congruence import YSequence
 from .elements import PartialMap
@@ -157,38 +156,21 @@ def nf_of_word(word: str) -> NF:
     return NF._from_internal(tuple(sorted(excluded)), shift)
 
 
-@lru_cache(maxsize=4)
-def _padded_run(size: int) -> tuple:
-    """size Nones, then 1..size, then size Nones."""
-    pad = (None,) * size
-    return pad + tuple(range(1, size + 1)) + pad
-
-
 def nf_window(a: NF, half_width: int) -> PartialMap:
     """Restrict the represented map to the integer window [-N, N].
 
     Returned as a partial bijection on 1..2N+1 via x -> x + N + 1.  The window
     must be wide enough to contain every puncture and survive the shift; the
-    punctures are strictly increasing, so the widest is at one end.
-    Window index i maps to i + shift + 1 while that lies in 1..2N+1, so the
-    images are one slice of the padded run 1..2N+1 with 2N+1 Nones on either
-    side; then each puncture x is cleared at index x + N.  Every image is None
-    or a point of 1..2N+1, so the result needs no re-validation.
+    punctures are strictly increasing, so the widest is at one end.  A point
+    whose image leaves the window is unmapped.
     """
     excluded = a.excluded
     needed = (max(-excluded[0], excluded[-1]) if excluded else 0) + abs(a.shift)
     if half_width < needed:
         raise ValueError(f"window half-width {half_width} < required {needed}")
-    n = half_width
-    size = 2 * n + 1
-    start = size + a.shift
-    images = _padded_run(size)[start:start + size]
-    if excluded:
-        images = list(images)
-        for x in excluded:
-            images[x + n] = None
-        images = tuple(images)
-    return PartialMap._from_internal(images)
+    n, s, punctures = half_width, a.shift, set(excluded)
+    images = [None if x in punctures or abs(x + s) > n else x + s + n + 1 for x in range(-n, n + 1)]
+    return PartialMap._from_internal(tuple(images))
 
 
 PRESENTATION_BASE = (

@@ -200,6 +200,18 @@ def test_refused_verify_carrier_prints_no_answer(capsys):
     assert err == "error: enumerating T_8 would produce 16777216 elements (cap 1000000)\n"
 
 
+@pytest.mark.parametrize("n", [10**5, 10**7, 10**12])
+@pytest.mark.parametrize("kind", ["T", "PT", "I", "P"])
+def test_oversized_carrier_is_refused_without_counting_it(capsys, kind, n):
+    """A count with millions of digits is neither worked out nor printed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cong-close", "--kind", kind, "--n", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: enumerating {kind}_{n} would produce ")
+    assert err.endswith(" (cap 1000000)\n") and "Exceeds the limit" not in err
+
+
 def test_pmonoid_relations(capsys):
     code, out, _ = run(capsys, "pmonoid", "relations", "--max-k", "10")
     assert code == 0 and out == "true\n"

@@ -300,6 +300,8 @@ def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_elements("P", 6)
     assert element_count("P", 6) > 1_000_000
+    # A carrier past n = 8 is refused on the count at 8, which passes the cap.
+    assert all(element_count(kind, 8) > 1_000_000 for kind in ("T", "PT", "I", "P"))
 
 
 def test_unknown_kind_rejected():

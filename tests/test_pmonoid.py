@@ -126,7 +126,8 @@ def test_window_too_small():
 
 
 def _window_pointwise(a, half_width):
-    """The per-point window construction that the closed form replaced."""
+    """The window point by point, with `needed` from absolute values and the
+    edge as a range test: the definition, written apart from `nf_window`."""
     needed = (max(abs(x) for x in a.excluded) if a.excluded else 0) + abs(a.shift)
     if half_width < needed:
         raise ValueError(f"window half-width {half_width} < required {needed}")
@@ -142,7 +143,8 @@ def _window_pointwise(a, half_width):
 
 
 def _window_by_ranges(a, half_width):
-    """The range-built window that the padded-run slice replaced."""
+    """The window as one run of images, padded by |shift| Nones on the side
+    the shift pushes out, with each puncture then cleared: no point is tested."""
     needed = (max(abs(x) for x in a.excluded) if a.excluded else 0) + abs(a.shift)
     if half_width < needed:
         raise ValueError(f"window half-width {half_width} < required {needed}")

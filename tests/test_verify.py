@@ -11,7 +11,7 @@ from monoidkit import verify
 from monoidkit.cli import main
 from monoidkit.elements import Partition
 from monoidkit.ideals import MeetResult
-from monoidkit.pmonoid import AnnihilatorVerdict
+from monoidkit.pmonoid import NF, AnnihilatorVerdict, nf_mul, nf_window
 
 real_embed, real_leq_R, real_leq_L, real_meet = verify.embed, verify.leq_R, verify.leq_L, verify.meet
 real_nf_mul, real_chain_search = verify.nf_mul, verify.chain_search
@@ -59,7 +59,7 @@ def never_empty(kind, side, a, b):
          "some defining relation fails for k <= 50"),
         ("nc", {"check_nc": lambda max_n: False}, "some antichain condition fails for indices <= 50"),
         ("nf-mul", {"nf_mul": lambda a, b: real_nf_mul(b, a)},
-         "9534 of 10000 random pairs disagree on window interiors"),
+         "9534 of 10000 random pairs disagree with pointwise evaluation"),
         ("kappa", {"kappa": lambda S, s: verify.delta(S)}, "kappa mismatch at PartialMap([1,1,1]) in T_3"),
         ("annihilators", {"annihilator": lambda S, rho, a: verify.delta(S)},
          "annihilator of idempotent PartialMap([1,1,1]) in T_3 differs"),
@@ -98,8 +98,76 @@ def test_swapped_operands_break_most_nf_mul_pairs(monkeypatch, seed):
     monkeypatch.setattr(verify, "nf_mul", lambda a, b: real_nf_mul(b, a))
     result = verify.run_suite("nf-mul", seed=seed)
     bad, rest = result.detail.split(" of ", 1)
-    assert not result.ok and rest == "10000 random pairs disagree on window interiors"
+    assert not result.ok and rest == "10000 random pairs disagree with pointwise evaluation"
     assert int(bad) > 9000
+
+
+def _window_check(a, b, half=100):
+    """The windowed referee: p passes when a's and b's restrictions to
+    [-100, 100], composed in I_201, agree with p's on the points whose images
+    no shift pushes out."""
+    margin = abs(a.shift) + abs(b.shift)
+    interior = slice(margin, 2 * half - margin + 1)
+    composed = (nf_window(a, half) * nf_window(b, half)).images[interior]
+    return lambda p: composed == nf_window(p, half).images[interior]
+
+
+MUTANT_PRODUCTS = {
+    "swapped operands": lambda a, b: nf_mul(b, a),
+    "b's punctures dropped": lambda a, b: nf_mul(a, NF((), b.shift)),
+    "shift +1": lambda a, b: NF(nf_mul(a, b).excluded, a.shift + b.shift + 1),
+    "+s_a for -s_a": lambda a, b: NF(tuple(sorted({*a.excluded, *[x + a.shift for x in b.excluded]})),
+                                     a.shift + b.shift),
+}
+
+
+def test_pointwise_referee_rejects_what_the_windows_reject(monkeypatch):
+    """At seed 0, under each mutant, the referee rejects exactly the pairs the
+    windowed check rejects, and the suite counts them."""
+    rng = random.Random(0)
+    pairs = [(verify._random_nf(rng, 4, 20), verify._random_nf(rng, 4, 20)) for _ in range(10_000)]
+    checks = [(a, b, _window_check(a, b)) for a, b in pairs]
+    rejected = {}
+    for name, product in MUTANT_PRODUCTS.items():
+        monkeypatch.setattr(verify, "nf_mul", product)
+        detail = verify.run_suite("nf-mul", seed=0).detail
+        by_windows = [i for i, (a, b, check) in enumerate(checks) if not check(product(a, b))]
+        pointwise = [i for i, (a, b) in enumerate(pairs) if not verify._is_product(a, b, product(a, b))]
+        assert pointwise == by_windows, name
+        assert detail == f"{len(by_windows)} of 10000 random pairs disagree with pointwise evaluation", name
+        rejected[name] = len(by_windows)
+    assert rejected == {"swapped operands": 9534, "b's punctures dropped": 7869,
+                        "shift +1": 10000, "+s_a for -s_a": 7761}
+
+
+def _far_nf(rng):
+    """Up to 4 punctures and a shift, each within 50 of -10**12 or 10**12."""
+
+    def coord():
+        return rng.choice((-1, 1)) * 10**12 + rng.randint(-50, 50)
+
+    return NF(tuple(sorted({coord() for _ in range(rng.randint(0, 4))})), coord())
+
+
+def test_pointwise_referee_is_exact_past_any_window():
+    """Products with coordinates near ±10**12 pass; their mutants fail."""
+    rng = random.Random(26)
+    for _ in range(2000):
+        a, b = _far_nf(rng), _far_nf(rng)
+        assert verify._is_product(a, b, nf_mul(a, b)), (a, b)
+        for name, product in MUTANT_PRODUCTS.items():
+            if product(a, b) != nf_mul(a, b):
+                assert not verify._is_product(a, b, product(a, b)), (name, a, b)
+
+
+@pytest.mark.parametrize("s,t", [(0, 0), (3, -3), (-7, 2), (10**12, 1)])
+def test_pointwise_referee_sees_a_shift_off_by_one_on_bare_operands(s, t):
+    """With no punctures the critical set is empty, so only the point past it
+    tells x -> x + s + t from x -> x + s + t + 1."""
+    a, b = NF((), s), NF((), t)
+    assert verify._is_product(a, b, NF((), s + t))
+    assert not verify._is_product(a, b, NF((), s + t + 1))
+    assert not verify._is_product(a, b, NF((), s + t - 1))
 
 
 @pytest.mark.parametrize("max_excluded,max_coord", [(4, 20), (3, 10)])
