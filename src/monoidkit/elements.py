@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
+from functools import lru_cache
 from math import comb, factorial
 
 KINDS = ("T", "PT", "I", "P")
@@ -118,8 +119,11 @@ class PartialMap:
 
     @property
     def is_injective(self):
-        defined = [v for v in self.images if v is not None]
-        return len(defined) == len(set(defined))
+        # The set holds each defined image once, and None once if any point
+        # is undefined.
+        images = self.images
+        undefined = images.count(None)
+        return len(set(images)) == len(images) - undefined + (undefined > 0)
 
     def inverse(self):
         if not self.is_injective:
@@ -176,21 +180,21 @@ class Partition:
 
     @staticmethod
     def _canonical(n, internal_blocks):
-        seen = set()
-        canon = []
-        for block in internal_blocks:
-            pts = tuple(sorted(block))
-            if not pts:
+        """The canonical blocks of internal blocks that cover 1..2n once.
+        Refused block by block: an empty block, then a point met twice (the
+        least such point in the block); then the least missing point."""
+        label = [0] * (2 * n + 1)
+        for i, block in enumerate(internal_blocks, 1):
+            if not block:
                 raise ValueError("empty block")
-            for p in pts:
-                if p in seen:
-                    raise ValueError(f"point {_point_text(p, n)} appears twice")
-                seen.add(p)
-            canon.append(pts)
-        if len(seen) != 2 * n:
-            missing = sorted(set(range(1, 2 * n + 1)) - seen)
-            raise ValueError(f"missing point {_point_text(missing[0], n)}")
-        return tuple(sorted(canon))
+            for p in block:
+                if label[p]:
+                    twice = min([q for q in block if label[q] not in (0, i) or block.count(q) > 1])
+                    raise ValueError(f"point {_point_text(twice, n)} appears twice")
+                label[p] = i
+        if 0 in label[1:]:
+            raise ValueError(f"missing point {_point_text(label.index(0, 1), n)}")
+        return blocks_by_label(label)
 
     @classmethod
     def _from_internal(cls, n, blocks):
@@ -213,9 +217,10 @@ class Partition:
         spans rows 1-2; blocks of the product are the connected components of
         the union, restricted to rows 0 and 2.
 
-        The groups are filled in point order, upper row first, so each block
-        is ascending and the blocks come in order of their minimum, and every
-        point lands in exactly one block: they are already canonical.
+        The groups are filled by the scan of `blocks_by_label`, in point
+        order, upper row first, with each point's root as its label, so the
+        blocks are already canonical.  The scan is written out here: a call
+        per product costs more than the loop.
         """
         if not isinstance(other, Partition):
             return NotImplemented
@@ -242,15 +247,15 @@ class Partition:
         """Swap the two rows; an involutive anti-isomorphism.
 
         Swapping the rows of a valid partition leaves it valid, so only the
-        order is restored: in an ascending block the lower points, moved up,
-        come before the upper points, moved down, and the blocks are sorted
-        again by their minimum.
+        order is restored: each point is labelled with the row-swapped copy
+        of its block, and `blocks_by_label` reads the blocks off the labels.
         """
         n = self.n
-        return Partition._from_internal(n, tuple(sorted(
-            tuple([p - n for p in block if p > n] + [p + n for p in block if p <= n])
-            for block in self.blocks
-        )))
+        label = [0] * (2 * n + 1)
+        for i, block in enumerate(self.blocks, 1):
+            for p in block:
+                label[p - n if p > n else p + n] = i
+        return Partition._from_internal(n, blocks_by_label(label))
 
     def __eq__(self, other):
         return (
@@ -263,11 +268,10 @@ class Partition:
         return hash((self.n, self.blocks))
 
     def __str__(self):
-        n = self.n  # each point as `_point_text` names it, without the calls
-        return "".join([
-            "{%s}" % " ".join([str(p) if p <= n else f"{p - n}'" for p in block])
-            for block in self.blocks
-        ])
+        if not self.blocks:
+            return ""
+        names = _point_names(self.n)
+        return "{%s}" % "}{".join([" ".join([names[p] for p in block]) for block in self.blocks])
 
     def __repr__(self):
         return f"Partition({self.n}, '{self}')"
@@ -275,6 +279,26 @@ class Partition:
 
 _set_partition_n = Partition.n.__set__
 _set_blocks = Partition.blocks.__set__
+
+
+def blocks_by_label(label):
+    """The canonical blocks of the points 1..len(label)-1, each labelled with
+    its block's label (label[0] is not read).
+
+    One scan in point order appends each point to its label's group, so
+    every block is ascending and the groups come in order of their least
+    point: the canonical order, without a sort.
+    """
+    groups = {}
+    for p in range(1, len(label)):
+        groups.setdefault(label[p], []).append(p)
+    return tuple([tuple(g) for g in groups.values()])
+
+
+@lru_cache(maxsize=16)
+def _point_names(n):
+    """Each stored point's text, indexed by the point: x for 1..n, x' for n+x."""
+    return ("",) + tuple([str(x) for x in range(1, n + 1)]) + tuple([f"{x}'" for x in range(1, n + 1)])
 
 
 def row_points(block, n, lower):

@@ -13,22 +13,27 @@ parsing that text returns an equal element, whose `str` is the same text.
 Digits are ASCII 0-9 only.  Each parser first matches the whole text
 against one compiled pattern of its grammar; a match is read with
 `str.split` and `int`, then checked for range, repeats and completeness.
-Any other text, and any text that fails those checks, goes to the
-item-by-item reader (`_read_partial_map`, `_read_partition`, `_read_nf`),
-which alone reports errors in these grammars.  The map and normal-form
-readers share one bracketed-list reader (`_read_list`), and the map and
-partition readers one point-label check (`_label`).  Text outside a grammar
-raises `ParseError`, whose position lies in 0..len(text); the CLI prints
-it as `parse error: position P: reason` and exits with status 2.  Both
-paths run in time linear in the text: no pattern can backtrack into a
-digit run it has already read.
+A partition's numerals are read in one pass that labels each point with
+its block number, and one scan of the labels in point order
+(`elements.blocks_by_label`) gives the canonical block order without a
+sort; the reader's blocks are ordered the same way.  Any other text, and
+any text that fails those checks, goes to the item-by-item reader
+(`_read_partial_map`, `_read_partition`, `_read_nf`), which alone reports
+errors in these grammars.  The map and normal-form readers share one
+bracketed-list reader (`_read_list`), and the map and partition readers
+one point-label check (`_label`).  Text outside a grammar raises
+`ParseError`, whose position lies in 0..len(text); the CLI prints it as
+`parse error: position P: reason` and exits with status 2.  Both paths run
+in time linear in the text: no pattern can backtrack into a digit run it
+has already read.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from .elements import PartialMap, Partition, is_kind
+from .elements import PartialMap, Partition, blocks_by_label, is_kind
 from .pmonoid import NF, nf_of_word
 
 
@@ -108,10 +113,15 @@ def parse_partial_map(text: str) -> PartialMap:
             images = [None if "_" in item else int(item) for item in items]
         except ValueError:  # a numeral past int()'s digit limit
             return _read_partial_map(text)
-        n = len(images)
-        if all(v is None or 0 < v <= n for v in images):
+        if _map_values(len(images)).issuperset(images):
             return PartialMap._from_internal(tuple(images))
     return _read_partial_map(text)
+
+
+@lru_cache(maxsize=8)
+def _map_values(n):
+    """The values a map on n points may take: None and 1..n."""
+    return frozenset([None, *range(1, n + 1)])
 
 
 def _read_partial_map(text: str) -> PartialMap:
@@ -129,27 +139,42 @@ def _read_partial_map(text: str) -> PartialMap:
 
 def parse_partition(text: str) -> Partition:
     if _PARTITION_TEXT.fullmatch(text):
+        blocks = [chunk.split() for chunk in text[1:-1].replace("'", "' ").split("}{")]
+        n = sum(map(len, blocks)) // 2
         try:
-            blocks = [
-                [-int(item[:-1]) if item[-1] == "'" else int(item) for item in chunk.split()]
-                for chunk in text[1:-1].replace("'", "' ").split("}{")
-            ]
+            label = _point_labels(n, blocks)
         except ValueError:  # a numeral past int()'s digit limit
             return _read_partition(text)
-        points = {p for block in blocks for p in block}
-        n = len(points) // 2
-        # Distinct nonzero points, 2n of them in -n..n, are all the points.
-        distinct = len(points) == sum(map(len, blocks)) == 2 * n
-        if distinct and 0 not in points and max(points) == n == -min(points):
-            return _canonical_partition(n, blocks)
+        if label is not None:
+            return Partition._from_internal(n, blocks_by_label(label))
     return _read_partition(text)
+
+
+def _point_labels(n, blocks):
+    """Each stored point's block number, counted from 1, when the numerals
+    name points in 1..n on their row and none twice; else None.  There are
+    2n numerals (or 2n+1, which must fail), so every point is named."""
+    label = [0] * (2 * n + 1)
+    for i, block in enumerate(blocks, 1):
+        for item in block:
+            if item[-1] == "'":
+                x = int(item[:-1])
+                p = n + x
+            else:
+                p = x = int(item)
+            if not 0 < x <= n or label[p]:
+                return None
+            label[p] = i
+    return label
 
 
 def _canonical_partition(n, blocks):
     """Every point of -n..n but 0 once, as signed blocks, in canonical form."""
-    return Partition._from_internal(n, tuple(sorted(
-        [tuple(sorted([p if p > 0 else n - p for p in block])) for block in blocks]
-    )))
+    label = [0] * (2 * n + 1)
+    for i, block in enumerate(blocks, 1):
+        for p in block:
+            label[p if p > 0 else n - p] = i
+    return Partition._from_internal(n, blocks_by_label(label))
 
 
 def _read_partition(text: str) -> Partition:

@@ -13,6 +13,7 @@ from monoidkit.elements import (
     identity_of,
 )
 
+from canonical_oracle import canonical
 from kernel_oracle import carrier, dom, join, ker, kerhat, pairs, rel, restrict, subset_of, upper_blocks
 
 
@@ -110,13 +111,13 @@ def test_partition_square_matches_partial_bijection_view():
 
 def test_partition_products_are_canonical(P2, P3):
     # The product is built without canonicalising; its blocks must already
-    # be in the form the validating canonicaliser produces.
+    # be in the form the sort-based canonicaliser produces.
     rng = random.Random(43)
     pairs = list(itertools.product(P2.elements, repeat=2))
     pairs += [(rng.choice(P3.elements), rng.choice(P3.elements)) for _ in range(2000)]
     for a, b in pairs:
         p = a * b
-        assert p.blocks == Partition._canonical(p.n, p.blocks), (a, b)
+        assert p.blocks == canonical(p.n, p.blocks), (a, b)
 
 
 def test_partition_identity_is_neutral(P2):
@@ -162,26 +163,26 @@ def test_star_laws_sampled_p3():
 
 
 def test_star_matches_canonical_swap():
-    """The star builds its blocks in canonical order without `_canonical`;
-    the canonical form of the swapped blocks is its oracle."""
+    """The star's blocks are the sort-based canonical form of the swapped
+    blocks."""
     for n in (2, 3):
         for a in enumerate_elements("P", n):
             swapped = [[p + n if p <= n else p - n for p in block] for block in a.blocks]
-            want = Partition._from_internal(n, Partition._canonical(n, swapped))
+            want = Partition._from_internal(n, canonical(n, swapped))
             got = a.star()
-            assert got == want and got.blocks == want.blocks == Partition._canonical(n, got.blocks)
+            assert got == want and got.blocks == want.blocks == canonical(n, got.blocks)
             assert type(got.blocks) is tuple and all(type(block) is tuple for block in got.blocks)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_trusted_partitions_are_canonical(n):
     """Every partition built without validation has the blocks the
-    validating constructor's `_canonical` pass makes of them."""
+    sort-based canonical form makes of them."""
     built = [*enumerate_elements("P", n), *generators("P", n), Partition.identity(n)]
     if n <= 3:
         built += [embed("I->P", a) for a in enumerate_elements("I", n)]
     for x in built:
-        assert x.blocks == Partition._canonical(n, x.blocks), x
+        assert x.blocks == canonical(n, x.blocks), x
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -195,6 +196,13 @@ def test_trusted_partial_maps_equal_validated(n):
     built += [embed("PT->T", a) for a in enumerate_elements("PT", n)]
     for x in built:
         assert x == PartialMap(x.images), x
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_is_injective_matches_distinct_defined_images(n):
+    for a in enumerate_elements("PT", n):
+        defined = [v for v in a.images if v is not None]
+        assert a.is_injective == (len(defined) == len(set(defined))), a
 
 
 def test_associativity_exhaustive():

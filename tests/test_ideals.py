@@ -8,6 +8,7 @@ from monoidkit.ideals import MeetResult, meet, verify_meet
 from monoidkit.order import leq_L, leq_R, leq_oracle
 from monoidkit.verify import cached_monoid
 
+from canonical_oracle import canonical
 from kernel_oracle import dom, join, ker, restrict, upper_blocks
 from star_oracle import left_side_pairs, meet_left_by_star
 
@@ -369,7 +370,7 @@ def test_partition_meets_are_canonical(n):
             result = meet("P", side, a, b)
             if not result.empty:
                 g = result.generator
-                assert g.blocks == Partition._canonical(n, g.blocks), (a, b, side)
+                assert g.blocks == canonical(n, g.blocks), (a, b, side)
 
 
 @pytest.mark.parametrize("kind", ["T", "PT", "I"])

@@ -6,6 +6,7 @@ import time
 
 import pytest
 import scanner_oracle
+from canonical_oracle import canonical
 
 from monoidkit.elements import PartialMap, Partition, enumerate_elements
 from monoidkit.pmonoid import NF
@@ -299,6 +300,27 @@ def test_hostile_text_refused_quickly(text):
         assert time.perf_counter() - start < 0.25, name
 
 
+def _map_texts(n):
+    """Every text of PT_n, and each with one image made 0 or n+1."""
+    for a in enumerate_elements("PT", n):
+        yield str(a)
+        for j in range(n):
+            for v in (0, n + 1):
+                yield str(a)[:2 * j + 1] + str(v) + str(a)[2 * j + 2:]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_map_range_check_matches_item_reader(n):
+    """On PT_n's texts the whole-text path returns the item reader's map, and
+    an image of 0 or past n gets the reader's (reason, position)."""
+    refused = 0
+    for text in _map_texts(n):
+        got = _outcome(parse_partial_map, text)
+        assert got == _outcome(textio._read_partial_map, text), text
+        refused += got[0] == "parse error"
+    assert refused == 2 * n * (n + 1) ** n
+
+
 def test_round_trip_pt3_and_p2():
     for kind, n in (("PT", 3), ("P", 2)):
         for x in enumerate_elements(kind, n):
@@ -348,7 +370,7 @@ def test_parsed_partition_is_canonical(text, n, signed):
     that constructor, on the same signed blocks, is its oracle."""
     x = parse_partition(text)
     assert x == Partition(n, signed)
-    assert x.blocks == Partition._canonical(n, x.blocks)
+    assert x.blocks == canonical(n, x.blocks)
 
 
 def test_parsed_canonical_texts_keep_their_blocks():
