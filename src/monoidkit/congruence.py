@@ -30,7 +30,7 @@ import struct
 from array import array
 from collections import deque, namedtuple
 
-from .elements import enumerate_elements, find, generators, identity_of, is_left, joining, min_root_join
+from .elements import enumerate_elements, generators, identity_of, is_left, joining, min_root_join, min_root_labels
 
 
 def _mask(indices):
@@ -344,17 +344,16 @@ def rc_close(S: FiniteMonoid, pairs) -> RightCongruence:
     pair_rows = list(zip(rows, rows))
     m = len(S)
     parent = list(range(m))
-    edges = []
-    adjacency = {}
     instances = itertools.chain(
         ((c[0], d[0], p, 0) for p, (c, d) in enumerate(pair_rows)),
         ((c[t], d[t], p, t) for p, (c, d) in enumerate(pair_rows) for t in range(1, m)),
     )
-    for edge in joining(parent, instances):
+    edges = joining(parent, instances)
+    adjacency = {}
+    for i, edge in enumerate(edges):
         for x in edge[:2]:
-            adjacency.setdefault(x, []).append(len(edges))
-        edges.append(edge)
-    labels = [find(parent, x) for x in range(m)]
+            adjacency.setdefault(x, []).append(i)
+    labels = min_root_labels(parent)
     gen_pairs = tuple((S.elements[a], S.elements[b]) for a, b in pair_idx)
     return RightCongruence(S, labels, gen_pairs, edges, adjacency)
 

@@ -29,22 +29,37 @@ def find(parent, x):
 
 def joining(parent, links):
     """Merge each link's first two items in a union-find forest, hanging the
-    larger root below the smaller so that every root is its class minimum,
-    and yield each link that joined two classes."""
+    larger root below the smaller so that every root is its class minimum;
+    the links that joined two classes, in order."""
+    joined = []
     for link in links:
         rx, ry = find(parent, link[0]), find(parent, link[1])
         if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-            yield link
+            if rx < ry:
+                parent[ry] = rx
+            else:
+                parent[rx] = ry
+            joined.append(link)
+    return joined
+
+
+def min_root_labels(parent):
+    """Resolve a min-root forest in place: each point's parent becomes its
+    root, the least point of its class.  Every parent is at most its point,
+    so one ascending sweep, taking each parent's already settled parent,
+    settles every point; the list is returned."""
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def min_root_join(n, links):
     """Label each point 0..n-1 by the least point of its class in the
-    equivalence the linked pairs generate."""
+    equivalence the linked pairs generate: `joining` builds a min-root
+    forest and `min_root_labels` resolves it in one sweep."""
     parent = list(range(n))
-    for _ in joining(parent, links):
-        pass
-    return [find(parent, x) for x in range(n)]
+    joining(parent, links)
+    return min_root_labels(parent)
 
 
 class PartialMap:
@@ -111,7 +126,7 @@ class PartialMap:
         )
 
     def im(self):
-        return frozenset(v for v in self.images if v is not None)
+        return frozenset(self.images).difference((None,))
 
     @property
     def is_total(self):
@@ -141,7 +156,7 @@ class PartialMap:
         return hash(self.images)
 
     def __str__(self):
-        return "[%s]" % ",".join("_" if v is None else str(v) for v in self.images)
+        return "[" + ",".join(map(map_item_table(self.n)[0].__getitem__, self.images)) + "]"
 
     def __repr__(self):
         return f"PartialMap({self})"
@@ -279,6 +294,16 @@ class Partition:
 
 _set_partition_n = Partition.n.__set__
 _set_blocks = Partition.blocks.__set__
+
+
+@lru_cache(maxsize=8)
+def map_item_table(n):
+    """The item texts of a map on n points, both ways: a dict from each
+    value to its text (None to _, x to str(x)) and its inverse.  Kept for
+    the last 8 sizes, each about 160 bytes a point."""
+    names = {None: "_"}
+    names.update([(x, str(x)) for x in range(1, n + 1)])
+    return names, {text: v for v, text in names.items()}
 
 
 def blocks_by_label(label):

@@ -10,30 +10,35 @@ Grammars (sizes are inferred from the content):
 Each element's `str` is its canonical text (`format_element` is `str`);
 parsing that text returns an equal element, whose `str` is the same text.
 
-Digits are ASCII 0-9 only.  Each parser first matches the whole text
-against one compiled pattern of its grammar; a match is read with
-`str.split` and `int`, then checked for range, repeats and completeness.
-A partition's numerals are read in one pass that labels each point with
-its block number, and one scan of the labels in point order
-(`elements.blocks_by_label`) gives the canonical block order without a
-sort; the reader's blocks are ordered the same way.  Any other text, and
-any text that fails those checks, goes to the item-by-item reader
-(`_read_partial_map`, `_read_partition`, `_read_nf`), which alone reports
-errors in these grammars.  The map and normal-form readers share one
-bracketed-list reader (`_read_list`), and the map and partition readers
-one point-label check (`_label`).  Text outside a grammar raises
-`ParseError`, whose position lies in 0..len(text); the CLI prints it as
-`parse error: position P: reason` and exits with status 2.  Both paths run
-in time linear in the text: no pattern can backtrack into a digit run it
-has already read.
+Digits are ASCII 0-9 only.  Maps go by the item table: a map's text is
+split on commas and each item looked up in the inverse of the table for
+that many points (`elements.map_item_table`, which also prints maps), so
+only `_` and the numerals 1..n as `str` writes them are read there.
+Partitions and normal forms go by whole-text patterns: each parser first
+matches the whole text against one compiled pattern of its grammar; a
+match is read with `str.split` and `int`, then checked for range, repeats
+and completeness.  A partition's numerals are read in one pass that labels
+each point with its block number, and one scan of the labels in point
+order (`elements.blocks_by_label`) gives the canonical block order without
+a sort; the reader's blocks are ordered the same way.  Any other text (for
+a map, an item the table does not hold, such as one with spaces or a
+leading zero), and any text that fails those checks, goes to the
+item-by-item reader (`_read_partial_map`, `_read_partition`, `_read_nf`),
+which alone reports errors in these grammars.  The map and normal-form
+readers share one bracketed-list reader (`_read_list`), and the map and
+partition readers one point-label check (`_label`).  Text outside a
+grammar raises `ParseError`, whose position lies in 0..len(text); the CLI
+prints it as `parse error: position P: reason` and exits with status 2.
+Every path runs in time linear in the text: a table lookup reads each
+item once, and no pattern can backtrack into a digit run it has already
+read.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
-from .elements import PartialMap, Partition, blocks_by_label, is_kind
+from .elements import PartialMap, Partition, blocks_by_label, is_kind, map_item_table
 from .pmonoid import NF, nf_of_word
 
 
@@ -56,8 +61,6 @@ _POINT = re.compile(r" *([0-9]*)(')? *")
 
 # Whole texts in each grammar.  A point's digit run may not end before a
 # digit, so a run of digits is read one way only.
-_MAP_ITEM = r" *(?:_|[0-9]+) *"
-_MAP_TEXT = re.compile(rf"\[(?: *|{_MAP_ITEM}(?:,{_MAP_ITEM})*)\]")
 _PARTITION_TEXT = re.compile(r"(?:\{ *(?:[0-9]+(?![0-9])'? *)+\})+")
 _NF_ITEM = r" *[+-]?[0-9]+ *"
 _NF_TEXT = re.compile(rf"\{{(?: *|{_NF_ITEM}(?:,{_NF_ITEM})*)\}};[+-]?[0-9]+")
@@ -107,21 +110,16 @@ def _read_list(text, open, close, item, read):
 
 
 def parse_partial_map(text: str) -> PartialMap:
-    if _MAP_TEXT.fullmatch(text):
-        items = text[1:-1].split(",") if text[1:-1].strip() else ()
+    if text[:1] == "[" and text[-1:] == "]":
+        items = text[1:-1].split(",")
+        values = map_item_table(len(items))[1]
         try:
-            images = [None if "_" in item else int(item) for item in items]
-        except ValueError:  # a numeral past int()'s digit limit
-            return _read_partial_map(text)
-        if _map_values(len(images)).issuperset(images):
-            return PartialMap._from_internal(tuple(images))
+            # A list first: tuple() of an iterator of unknown length makes
+            # room for 10 items and shrinks it, which left the heap larger.
+            return PartialMap._from_internal(tuple([values[item] for item in items]))
+        except KeyError:  # not a canonical item text for this size
+            pass
     return _read_partial_map(text)
-
-
-@lru_cache(maxsize=8)
-def _map_values(n):
-    """The values a map on n points may take: None and 1..n."""
-    return frozenset([None, *range(1, n + 1)])
 
 
 def _read_partial_map(text: str) -> PartialMap:

@@ -8,7 +8,7 @@ of its classes, each a frozenset, so the helpers read nothing but classes.
 """
 
 from monoidkit.elements import PartialMap, Partition
-from monoidkit.elements import check_pair
+from monoidkit.elements import check_pair, find
 
 
 # --- equivalence relations ------------------------------------------------------
@@ -46,6 +46,26 @@ def component_labels(n, links):
                         labels[y] = start
                         queue.append(y)
     return tuple(labels)
+
+
+def joining_links(parent, links):
+    """The generator form of `elements.joining`: merge each link's first two
+    items, hanging the larger root below the smaller, and yield each link
+    that joined two classes."""
+    for link in links:
+        rx, ry = find(parent, link[0]), find(parent, link[1])
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+            yield link
+
+
+def find_labels(n, links):
+    """Each point 0..n-1 labelled by one `find` call after the links join,
+    as `min_root_join` labelled them before its sweep."""
+    parent = list(range(n))
+    for _ in joining_links(parent, links):
+        pass
+    return [find(parent, x) for x in range(n)]
 
 
 def carrier(rel):

@@ -205,6 +205,12 @@ def test_is_injective_matches_distinct_defined_images(n):
         assert a.is_injective == (len(defined) == len(set(defined))), a
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_image_set_matches_defined_images(n):
+    for a in enumerate_elements("PT", n):
+        assert a.im() == frozenset(v for v in a.images if v is not None), a
+
+
 def test_associativity_exhaustive():
     for kind, n in (("P", 2), ("PT", 2)):
         els = enumerate_elements(kind, n)

@@ -15,14 +15,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from monoidkit.cli import main  # noqa: E402
-from monoidkit.elements import PartialMap, Partition, is_kind, min_root_join  # noqa: E402
+from monoidkit.elements import PartialMap, Partition, find, is_kind, joining, min_root_join, min_root_labels  # noqa: E402
 from monoidkit.ideals import meet  # noqa: E402
 from monoidkit.order import leq_L, leq_R  # noqa: E402
 from monoidkit.pmonoid import NF, nf_mul, nf_window  # noqa: E402
 from monoidkit.textio import ParseError, format_element, parse_element  # noqa: E402
 
 from canonical_oracle import canonical  # noqa: E402
-from kernel_oracle import component_labels, leq_R_by_kernels  # noqa: E402
+from kernel_oracle import component_labels, find_labels, joining_links, leq_R_by_kernels  # noqa: E402
 
 COORD = 20
 HALF = 4 * COORD  # products puncture up to 2 * COORD and shift up to 2 * COORD
@@ -278,6 +278,32 @@ def test_min_root_join_labels_class_minima(drawn):
     for x in range(n):
         assert labels[x] <= x and labels[labels[x]] == labels[x]
     assert tuple(labels) == component_labels(n, links)
+    assert labels == find_labels(n, links)
+
+
+@deterministic
+@given(linked_points)
+def test_joining_returns_the_generator_links_in_order(drawn):
+    """The returned links are those the generator form yields, in its order,
+    and both leave the same forest."""
+    n, links = drawn
+    parent, oracle_parent = list(range(n)), list(range(n))
+    assert joining(parent, iter(links)) == list(joining_links(oracle_parent, links))
+    assert parent == oracle_parent
+
+
+min_root_forests = st.integers(0, 40).flatmap(
+    lambda n: st.tuples(*[st.integers(0, x) for x in range(n)]).map(list)
+)
+
+
+@deterministic
+@given(min_root_forests)
+def test_min_root_labels_resolves_any_min_root_forest(parent):
+    """On any forest whose parents never exceed their points, the sweep
+    labels each point with the root one `find` call reaches."""
+    roots = [find(list(parent), x) for x in range(len(parent))]
+    assert min_root_labels(parent) == roots
 
 
 # --- the command line on arbitrary input ---------------------------------------

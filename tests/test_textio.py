@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+import re
 import sys
 import time
 
@@ -8,7 +9,7 @@ import pytest
 import scanner_oracle
 from canonical_oracle import canonical
 
-from monoidkit.elements import PartialMap, Partition, enumerate_elements
+from monoidkit.elements import PartialMap, Partition, enumerate_elements, is_kind, map_item_table
 from monoidkit.pmonoid import NF
 from monoidkit import textio
 from monoidkit.textio import (
@@ -193,8 +194,12 @@ READERS = {
     "parse_partition": textio._read_partition,
     "parse_nf": textio._read_nf,
 }
+# A map text as a list of items, each _ or a digit run, with spaces around
+# it: the map parser matches no pattern, so the texts are sorted by this one.
+_MAP_ITEM = r" *(?:_|[0-9]+) *"
+MAP_TEXT = re.compile(rf"\[(?: *|{_MAP_ITEM}(?:,{_MAP_ITEM})*)\]")
 WHOLE_TEXT = {
-    "parse_partial_map": textio._MAP_TEXT,
+    "parse_partial_map": MAP_TEXT,
     "parse_partition": textio._PARTITION_TEXT,
     "parse_nf": textio._NF_TEXT,
 }
@@ -319,6 +324,73 @@ def test_map_range_check_matches_item_reader(n):
         assert got == _outcome(textio._read_partial_map, text), text
         refused += got[0] == "parse error"
     assert refused == 2 * n * (n + 1) ** n
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_map_item_table_names_each_value_once(n):
+    """The table names None as _ and 1..n by their numerals, nothing else,
+    and its inverse reads each name back."""
+    names, values = map_item_table(n)
+    assert names == {None: "_", **{x: str(x) for x in range(1, n + 1)}}
+    assert values == {text: v for v, text in names.items()}
+
+
+def test_map_item_tables_are_kept_for_eight_sizes():
+    """A kept table costs about 160 bytes a point, so the count of sizes kept
+    is pinned: raising it raises what a few large maps leave held."""
+    assert map_item_table.cache_info().maxsize == 8
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_small_map_text_parses_to_its_element(n):
+    """Every T, PT and I element on up to 4 points is what its own text
+    parses to, under each kind that holds it."""
+    for a in enumerate_elements("PT", n):
+        assert parse_partial_map(str(a)) == a
+        for kind in ("T", "I"):
+            if is_kind(a, kind):
+                assert parse_element(kind, str(a)) == a
+
+
+def _map_variants(a):
+    """Spellings next to a map's text: a space or a leading zero at each
+    item, an item left empty, a stray bracket, and an item added or dropped
+    (the last two are canonical when the images stay in range)."""
+    items = str(a)[1:-1].split(",") if a.n else []
+    for j in range(a.n):
+        for item in (f" {items[j]}", f"{items[j]} ", f"0{items[j]}", ""):
+            yield "[" + ",".join(items[:j] + [item] + items[j + 1:]) + "]"
+    yield "[" + ",".join(items) + "]]"
+    yield "[[" + ",".join(items) + "]"
+    yield "[" + ",".join(items + [str(a.n + 1)]) + "]"
+    yield "[" + ",".join(items[:-1]) + "]"
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_non_canonical_map_texts_take_the_item_reader(n):
+    """Every spelling next to a canonical text gets the item reader's map or
+    (reason, position), whichever path it takes."""
+    seen = set()
+    for a in enumerate_elements("PT", n):
+        for text in _map_variants(a):
+            got = _outcome(parse_partial_map, text)
+            assert got == _outcome(textio._read_partial_map, text), text
+            seen.add(got[0])
+    assert seen == {"ok", "parse error"}
+
+
+def test_long_canonical_map_parses_and_prints_in_linear_time():
+    """A 100,000-point map goes through the item table both ways in time
+    that grows with its length."""
+    a = PartialMap([None if x % 7 == 0 else (x * 31) % 100_000 + 1 for x in range(100_000)])
+    text = "[" + ",".join("_" if v is None else str(v) for v in a.images) + "]"
+    try:
+        start = time.perf_counter()
+        assert parse_partial_map(text) == a
+        assert str(a) == text
+        assert time.perf_counter() - start < 2.0
+    finally:
+        map_item_table.cache_clear()
 
 
 def test_round_trip_pt3_and_p2():
