@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 
 KINDS = ("T", "PT", "I", "P")
@@ -202,13 +202,16 @@ class Partition:
         for i, block in enumerate(internal_blocks, 1):
             if not block:
                 raise ValueError("empty block")
+            # A point met labelled is in an earlier block or met twice here.
+            twice = []
             for p in block:
                 if label[p]:
-                    twice = min([q for q in block if label[q] not in (0, i) or block.count(q) > 1])
-                    raise ValueError(f"point {_point_text(twice, n)} appears twice")
+                    twice.append(p)
                 label[p] = i
+            if twice:
+                raise ValueError(f"point {point_table(n)[0][min(twice)]} appears twice")
         if 0 in label[1:]:
-            raise ValueError(f"missing point {_point_text(label.index(0, 1), n)}")
+            raise ValueError(f"missing point {point_table(n)[0][label.index(0, 1)]}")
         return blocks_by_label(label)
 
     @classmethod
@@ -285,7 +288,7 @@ class Partition:
     def __str__(self):
         if not self.blocks:
             return ""
-        names = _point_names(self.n)
+        names = point_table(self.n)[0]
         return "{%s}" % "}{".join([" ".join([names[p] for p in block]) for block in self.blocks])
 
     def __repr__(self):
@@ -296,14 +299,38 @@ _set_partition_n = Partition.n.__set__
 _set_blocks = Partition.blocks.__set__
 
 
-@lru_cache(maxsize=8)
+def _kept_while_small(build):
+    """A per-size text table `build(n)`, kept for the last 8 sizes n <= 64
+    and built afresh on each call for a larger n, so the kept tables stay
+    small; the cache's `cache_info` and `cache_clear` are the table's."""
+    kept = lru_cache(maxsize=8)(build)
+
+    @wraps(build)
+    def table(n):
+        return kept(n) if n <= 64 else build(n)
+
+    table.cache_info, table.cache_clear = kept.cache_info, kept.cache_clear
+    return table
+
+
+@_kept_while_small
 def map_item_table(n):
     """The item texts of a map on n points, both ways: a dict from each
-    value to its text (None to _, x to str(x)) and its inverse.  Kept for
-    the last 8 sizes, each about 160 bytes a point."""
+    value to its text (None to _, x to str(x)) and its inverse.  About 160
+    bytes a point; kept as `_kept_while_small` says."""
     names = {None: "_"}
     names.update([(x, str(x)) for x in range(1, n + 1)])
     return names, {text: v for v, text in names.items()}
+
+
+@_kept_while_small
+def point_table(n):
+    """The point texts of a partition on n points, both ways: each stored
+    point's text, indexed by the point (x for 1..n, x' for n+x, "" for 0),
+    and a dict from each text back to its point.  About 250 bytes for each
+    x; kept as `_kept_while_small` says."""
+    names = ("",) + tuple([str(x) for x in range(1, n + 1)]) + tuple([f"{x}'" for x in range(1, n + 1)])
+    return names, {names[p]: p for p in range(1, 2 * n + 1)}
 
 
 def blocks_by_label(label):
@@ -320,21 +347,11 @@ def blocks_by_label(label):
     return tuple([tuple(g) for g in groups.values()])
 
 
-@lru_cache(maxsize=16)
-def _point_names(n):
-    """Each stored point's text, indexed by the point: x for 1..n, x' for n+x."""
-    return ("",) + tuple([str(x) for x in range(1, n + 1)]) + tuple([f"{x}'" for x in range(1, n + 1)])
-
-
 def row_points(block, n, lower):
     """The points of an ascending block on one row: the upper points are a
     prefix and the lower ones, stored as n+x, the rest."""
     cut = bisect(block, n)
     return block[cut:] if lower else block[:cut]
-
-
-def _point_text(p, n):
-    return str(p) if p <= n else f"{p - n}'"
 
 
 def is_kind(x, kind) -> bool:

@@ -10,35 +10,35 @@ Grammars (sizes are inferred from the content):
 Each element's `str` is its canonical text (`format_element` is `str`);
 parsing that text returns an equal element, whose `str` is the same text.
 
-Digits are ASCII 0-9 only.  Maps go by the item table: a map's text is
-split on commas and each item looked up in the inverse of the table for
-that many points (`elements.map_item_table`, which also prints maps), so
-only `_` and the numerals 1..n as `str` writes them are read there.
-Partitions and normal forms go by whole-text patterns: each parser first
-matches the whole text against one compiled pattern of its grammar; a
-match is read with `str.split` and `int`, then checked for range, repeats
-and completeness.  A partition's numerals are read in one pass that labels
-each point with its block number, and one scan of the labels in point
-order (`elements.blocks_by_label`) gives the canonical block order without
-a sort; the reader's blocks are ordered the same way.  Any other text (for
-a map, an item the table does not hold, such as one with spaces or a
-leading zero), and any text that fails those checks, goes to the
-item-by-item reader (`_read_partial_map`, `_read_partition`, `_read_nf`),
-which alone reports errors in these grammars.  The map and normal-form
-readers share one bracketed-list reader (`_read_list`), and the map and
-partition readers one point-label check (`_label`).  Text outside a
-grammar raises `ParseError`, whose position lies in 0..len(text); the CLI
-prints it as `parse error: position P: reason` and exits with status 2.
-Every path runs in time linear in the text: a table lookup reads each
-item once, and no pattern can backtrack into a digit run it has already
-read.
+Digits are ASCII 0-9 only.  Maps and partitions go by per-size tables,
+which also print them (`elements.map_item_table`, `elements.point_table`):
+a map's text is split on commas, a partition's, inside its outer braces,
+on `}{` and then on single spaces, and each item is looked up in the
+inverse table for n points, n being the item count for a map and half of
+it, rounded down, for a partition.  A partition's items label each point
+with its block number, and one scan of the labels in point order
+(`elements.blocks_by_label`) gives the canonical blocks without a sort; a
+point named twice is passed on like an item the table does not hold, and
+so is every text of 2n+1 items, which must name some point twice.  Normal
+forms go by a whole-text pattern, read with `str.split` and `int`, then
+checked for repeats.  Any other text (an item with spaces or a leading
+zero, a point out of range or named twice, a numeral too long for `int`)
+goes to the item-by-item reader (`_read_partial_map`, `_read_partition`,
+`_read_nf`), which alone reports errors in these grammars.  The map and
+normal-form readers share one bracketed-list reader (`_read_list`), and
+the map and partition readers one point-label check (`_label`).  Text
+outside a grammar raises `ParseError`, whose position lies in
+0..len(text); the CLI prints it as `parse error: position P: reason` and
+exits with status 2.  Every path runs in time linear in the text: a table
+lookup reads each item once, and the pattern cannot backtrack into a
+digit run it has already read.
 """
 
 from __future__ import annotations
 
 import re
 
-from .elements import PartialMap, Partition, blocks_by_label, is_kind, map_item_table
+from .elements import PartialMap, Partition, blocks_by_label, is_kind, map_item_table, point_table
 from .pmonoid import NF, nf_of_word
 
 
@@ -59,9 +59,6 @@ _SHIFT = re.compile(r"[+-]?([0-9]*)")
 _IMAGE = re.compile(r" *(?:(_)|([0-9]*)) *")
 _POINT = re.compile(r" *([0-9]*)(')? *")
 
-# Whole texts in each grammar.  A point's digit run may not end before a
-# digit, so a run of digits is read one way only.
-_PARTITION_TEXT = re.compile(r"(?:\{ *(?:[0-9]+(?![0-9])'? *)+\})+")
 _NF_ITEM = r" *[+-]?[0-9]+ *"
 _NF_TEXT = re.compile(rf"\{{(?: *|{_NF_ITEM}(?:,{_NF_ITEM})*)\}};[+-]?[0-9]+")
 
@@ -136,43 +133,23 @@ def _read_partial_map(text: str) -> PartialMap:
 
 
 def parse_partition(text: str) -> Partition:
-    if _PARTITION_TEXT.fullmatch(text):
-        blocks = [chunk.split() for chunk in text[1:-1].replace("'", "' ").split("}{")]
+    if text[:1] == "{" and text[-1:] == "}":
+        blocks = [chunk.split(" ") for chunk in text[1:-1].split("}{")]
+        # 2n items, or 2n+1, which must name some point twice.
         n = sum(map(len, blocks)) // 2
+        points = point_table(n)[1]
+        label = [0] * (2 * n + 1)
         try:
-            label = _point_labels(n, blocks)
-        except ValueError:  # a numeral past int()'s digit limit
-            return _read_partition(text)
-        if label is not None:
+            for i, block in enumerate(blocks, 1):
+                for p in map(points.__getitem__, block):
+                    if label[p]:  # named twice: passed on like an unknown item
+                        raise KeyError(p)
+                    label[p] = i
+        except KeyError:  # an item the table does not hold, or a repeat
+            pass
+        else:  # each of the 2n points named once
             return Partition._from_internal(n, blocks_by_label(label))
     return _read_partition(text)
-
-
-def _point_labels(n, blocks):
-    """Each stored point's block number, counted from 1, when the numerals
-    name points in 1..n on their row and none twice; else None.  There are
-    2n numerals (or 2n+1, which must fail), so every point is named."""
-    label = [0] * (2 * n + 1)
-    for i, block in enumerate(blocks, 1):
-        for item in block:
-            if item[-1] == "'":
-                x = int(item[:-1])
-                p = n + x
-            else:
-                p = x = int(item)
-            if not 0 < x <= n or label[p]:
-                return None
-            label[p] = i
-    return label
-
-
-def _canonical_partition(n, blocks):
-    """Every point of -n..n but 0 once, as signed blocks, in canonical form."""
-    label = [0] * (2 * n + 1)
-    for i, block in enumerate(blocks, 1):
-        for p in block:
-            label[p if p > 0 else n - p] = i
-    return Partition._from_internal(n, blocks_by_label(label))
 
 
 def _read_partition(text: str) -> Partition:
@@ -207,8 +184,8 @@ def _read_partition(text: str) -> Partition:
         for point, name in ((label, str(label)), (-label, f"{label}'")):
             if point not in points_seen:
                 raise ParseError(f"point {name} missing", len(text))
-    # Every point was seen once.
-    return _canonical_partition(n, blocks)
+    # Every point was seen once, so the validating constructor refuses none.
+    return Partition(n, blocks)
 
 
 def parse_nf(text: str) -> NF:

@@ -6,6 +6,7 @@
 import gc
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -67,6 +68,7 @@ def test_parse_and_constructor_match_the_sort_oracle():
         assert Partition(n, signed).blocks == want, signed
         parsed = parse_partition(_text(signed))
         assert (parsed.n, parsed.blocks) == (n, want), signed
+        assert textio._read_partition(_text(signed)) == parsed
         assert type(parsed.blocks) is tuple and all(type(block) is tuple for block in parsed.blocks)
         cases += 1
     assert cases == 3 * (1 + 2 + 15 + 203) + 2000
@@ -188,6 +190,24 @@ def test_constructor_refusals_match_the_sort_oracle():
         assert got == want, (n, blocks)
         refused += got[0] == "value error"
     assert refused > 1000
+
+
+@pytest.mark.parametrize(
+    "head,tail,point",
+    [([], [1], "1"), ([100_000], [3], "3"), ([-7], [], "7'")],
+    ids=["last-repeats-first", "least-after-first-met", "primed"],
+)
+def test_repeated_point_refused_in_linear_time(head, tail, point):
+    """One block of all 200,000 points with one or two named again: the
+    refusal names the least point met twice, as the oracle does, without
+    counting each point's occurrences."""
+    n = 100_000
+    blocks = [head + list(range(1, n + 1)) + list(range(-1, -n - 1, -1)) + tail]
+    start = time.perf_counter()
+    got = _constructor_outcome(lambda: Partition(n, blocks))
+    assert time.perf_counter() - start < 2.0
+    want = _constructor_outcome(lambda: canonical_oracle.canonical(n, _internal(n, blocks)))
+    assert got == want == ("value error", f"point {point} appears twice")
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="the tuple free lists are CPython's")

@@ -9,7 +9,7 @@ import pytest
 import scanner_oracle
 from canonical_oracle import canonical
 
-from monoidkit.elements import PartialMap, Partition, enumerate_elements, is_kind, map_item_table
+from monoidkit.elements import PartialMap, Partition, enumerate_elements, is_kind, map_item_table, point_table
 from monoidkit.pmonoid import NF
 from monoidkit import textio
 from monoidkit.textio import (
@@ -195,12 +195,16 @@ READERS = {
     "parse_nf": textio._read_nf,
 }
 # A map text as a list of items, each _ or a digit run, with spaces around
-# it: the map parser matches no pattern, so the texts are sorted by this one.
+# it: the map and partition parsers match no pattern, so the texts are
+# sorted by these.
 _MAP_ITEM = r" *(?:_|[0-9]+) *"
 MAP_TEXT = re.compile(rf"\[(?: *|{_MAP_ITEM}(?:,{_MAP_ITEM})*)\]")
+# The same for a partition text as blocks of points, each a digit run that
+# does not end before a digit, with an optional prime and spaces around it.
+PARTITION_TEXT = re.compile(r"(?:\{ *(?:[0-9]+(?![0-9])'? *)+\})+")
 WHOLE_TEXT = {
     "parse_partial_map": MAP_TEXT,
-    "parse_partition": textio._PARTITION_TEXT,
+    "parse_partition": PARTITION_TEXT,
     "parse_nf": textio._NF_TEXT,
 }
 
@@ -270,6 +274,12 @@ def test_whole_text_path_matches_item_reader():
     [
         ("parse_partition", "{3' 04}{4' 4}{3}{2' 1' 1}", ("parse error", "point 4 repeated", 11)),
         ("parse_partition", "{1'2}{1 2'}", ("ok", Partition(2, [[-1, 2], [1, -2]]))),
+        ("parse_partition", "{1 1' 1}", ("parse error", "point 1 repeated", 6)),
+        ("parse_partition", "{1}{1' 1}", ("parse error", "point 1 repeated", 7)),
+        ("parse_partition", "{1 1' 2}", ("parse error", "point 2' missing", 8)),
+        ("parse_partition", "{1  1'}", ("ok", Partition.identity(1))),
+        ("parse_partition", "{01 1'}", ("ok", Partition.identity(1))),
+        ("parse_partition", "{}", ("parse error", "expected a digit", 1)),
         ("parse_partial_map", "[ ]", ("ok", PartialMap([]))),
         ("parse_nf", "{ };+0", ("ok", NF((), 0))),
         ("parse_partial_map", f"[{LONG}]", None),
@@ -278,13 +288,17 @@ def test_whole_text_path_matches_item_reader():
         ("parse_nf", f"{{}};+{LONG}", None),
         ("parse_nf", f"{{}};+{'0' * 5000}1", None),
     ],
-    ids=["repeat-with-leading-zero", "prime-before-digit", "blank-map", "blank-nf",
+    ids=["repeat-with-leading-zero", "prime-before-digit", "odd-count-repeat", "repeat-across-blocks",
+         "odd-count-new-point", "double-space", "leading-zero", "empty-block", "blank-map", "blank-nf",
          "long-image", "long-point", "long-excluded", "long-shift", "long-zero-run"],
 )
 def test_whole_text_path_named_cases(name, text, outcome):
     """Texts that tripped earlier whole-text readers: numerals compared as
     strings, a prime directly before a digit, blank item lists, and numerals
-    past Python's integer string limit (the outcome depends on the Python)."""
+    past Python's integer string limit (the outcome depends on the Python);
+    and partition texts off the point table: 2n+1 items, which round n down
+    and so must name a point twice, 2n-1 items, whose last item lies past
+    that n, and spellings the table does not hold."""
     got = _outcome(getattr(textio, name), text)
     assert got == _outcome(READERS[name], text)
     if outcome is not None:
@@ -391,6 +405,92 @@ def test_long_canonical_map_parses_and_prints_in_linear_time():
         assert time.perf_counter() - start < 2.0
     finally:
         map_item_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_point_table_names_each_point_once(n):
+    """The table names x as x and n+x as x' for x in 1..n, nothing else,
+    and its inverse reads each name back to its stored point."""
+    names, points = point_table(n)
+    assert names == ("", *map(str, range(1, n + 1)), *[f"{x}'" for x in range(1, n + 1)])
+    assert points == {names[p]: p for p in range(1, 2 * n + 1)}
+
+
+def _took_the_item_reader(text):
+    raise AssertionError(f"{text!r} took the item reader")
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_every_small_partition_text_parses_to_its_element(n, monkeypatch):
+    """Every P element on up to 3 points is what its own text parses to,
+    and so is that text with its blocks and each block's points reversed:
+    the item reader reads the same element, and past the empty text the
+    parser never calls it."""
+    cases = []
+    for a in enumerate_elements("P", n):
+        blocks = [[str(p) if p <= n else f"{p - n}'" for p in block] for block in a.blocks]
+        for text in (str(a), "".join("{%s}" % " ".join(b[::-1]) for b in blocks[::-1])):
+            assert textio._read_partition(text) == a, text
+            cases.append((text, a))
+    if n:
+        monkeypatch.setattr(textio, "_read_partition", _took_the_item_reader)
+    for text, a in cases:
+        assert parse_partition(text) == a
+    assert len(cases) == 2 * (1, 2, 15, 203)[n]
+
+
+def _partition_variants(a):
+    """Spellings next to a partition's text: at each point a doubled space,
+    a leading zero, or the point dropped, repeated or followed by one past
+    n."""
+    blocks = [block.split(" ") for block in str(a)[1:-1].split("}{")]
+    for i, block in enumerate(blocks):
+        for j, item in enumerate(block):
+            for items in ([" " + item], ["0" + item], [], [item, item], [item, str(a.n + 1)]):
+                spoiled = blocks[:i] + [block[:j] + items + block[j + 1:]] + blocks[i + 1:]
+                yield "".join("{" + " ".join(b) + "}" for b in spoiled)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_non_canonical_partition_texts_take_the_item_reader(n):
+    """Every spelling next to a canonical text gets the item reader's
+    partition or (reason, position), whichever path it takes."""
+    seen = set()
+    for a in enumerate_elements("P", n):
+        for text in _partition_variants(a):
+            got = _outcome(parse_partition, text)
+            assert got == _outcome(textio._read_partition, text), text
+            seen.add(got[0])
+    assert seen == {"ok", "parse error"}
+
+
+def test_long_partition_parses_and_prints_in_linear_time():
+    """A 100,000-point partition goes through the point table both ways in
+    time that grows with its length."""
+    n = 100_000
+    a = Partition(n, [[x, -((x * 31) % n + 1)] for x in range(1, n + 1)])
+    text = str(a)
+    start = time.perf_counter()
+    assert parse_partition(text) == a
+    assert str(a) == text
+    assert time.perf_counter() - start < 2.0
+
+
+def test_tables_are_kept_only_for_small_sizes():
+    """A table for more than 64 points is built on each call and not kept,
+    so a 100,000-point map or partition, printed and read back, leaves
+    nothing in either cache; a small one is kept."""
+    n = 100_000
+    for table in (map_item_table, point_table):
+        table.cache_clear()
+    a = PartialMap([(x * 7) % n + 1 for x in range(n)])
+    b = Partition(n, [[x, -x] for x in range(1, n + 1)])
+    assert parse_partial_map(str(a)) == a and parse_partition(str(b)) == b
+    for table in (map_item_table, point_table):
+        assert table.cache_info().currsize == 0 and table.cache_info().misses == 0
+        table(64)
+        table(65)
+        assert table.cache_info().currsize == 1
 
 
 def test_round_trip_pt3_and_p2():
