@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -410,6 +411,30 @@ def test_verify_all_aggregates(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
+
+
+VERIFY_ALL_PASS = """\
+PASS presentation: all defining relations hold for k <= 50
+PASS nc: antichain conditions hold for indices <= 50
+PASS nf-mul: 10000 random pairs agree with pointwise evaluation on the integers (0 mismatches)
+PASS meet-right: right meets exact on PT_3:4096, T_3:729, I_3:1156, P_2:225 pairs
+PASS meet-left: left meets exact on PT_3:4096, T_3:729, I_3:1156, P_2:225 pairs; 42 empty T_3 intersections detected
+PASS kappa: power-orbit congruence equals closure of (1,s) for 36 elements
+PASS annihilators: 28 idempotent annihilators match closures; 64 regular annihilators match their idempotent's
+PASS green: characterizations agree with multiplier search on 1084 pairs, both sides
+PASS ann-decision: 1000 accepted pairs carry validating 3-step witnesses; 1000 rejections confirmed
+PASS chain: n=2: blocked (2 states); n=3: blocked (2 states); n=4: blocked (2 states); n=5: blocked (2 states)
+PASS embeddings: multiplicative on 81 PT_2 pairs and 49 I_2 pairs
+PASS star: star laws hold on all 225 P_2 pairs and 1000 random P_3 pairs
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "424242"])
+def test_verify_all_pass_lines_are_pinned(capsys, seed):
+    """Every suite's PASS line, its timing aside, is the same at each seed."""
+    code, out, _ = run(capsys, "verify", "all", "--seed", seed)
+    assert code == 0
+    assert re.sub(r" \(\d+\.\d\ds\)$", "", out, flags=re.M) == VERIFY_ALL_PASS
 
 
 def test_parse_error_at_end_of_text(capsys):

@@ -7,14 +7,15 @@ from collections import Counter
 
 import pytest
 
-from monoidkit import verify
+from monoidkit import pmonoid, verify
 from monoidkit.cli import main
 from monoidkit.elements import Partition
 from monoidkit.ideals import MeetResult
-from monoidkit.pmonoid import NF, AnnihilatorVerdict, nf_mul, nf_window
+from monoidkit.pmonoid import NF, PUNCTURE, AnnihilatorVerdict, nf_mul, nf_window
 
 real_embed, real_leq_R, real_leq_L, real_meet = verify.embed, verify.leq_R, verify.leq_L, verify.meet
-real_nf_mul, real_chain_search = verify.nf_mul, verify.chain_search
+real_nf_mul, real_chain_search, real_in_annihilator = verify.nf_mul, verify.chain_search, verify.in_annihilator
+real_star = Partition.star
 
 
 def flipped(leq):
@@ -39,6 +40,20 @@ def meet_on(kind, answer):
 def never_empty(kind, side, a, b):
     result = real_meet(kind, side, a, b)
     return MeetResult.found(a) if result.empty else result
+
+
+def exponent_0_rejected(u, v):
+    """`in_annihilator`, reporting the members with exponent 0 as non-members."""
+    verdict = real_in_annihilator(u, v)
+    return AnnihilatorVerdict(False) if verdict.member and verdict.n == 0 else verdict
+
+
+THREE_CYCLE = Partition(3, [[1, -2], [2, -3], [3, -1]])
+
+
+def star_wrong_on_three_cycle(self):
+    """`Partition.star`, answering the 3-cycle itself in place of its inverse."""
+    return self if self == THREE_CYCLE else real_star(self)
 
 
 @pytest.mark.parametrize(
@@ -69,10 +84,15 @@ def never_empty(kind, side, a, b):
          "target for n=2 reached under Y_1 within bounds"),
         ("star", {(Partition, "star"): lambda self: self},
          "involution/sandwich law fails at Partition(2, '{1}{2 1'}{2'}')"),
+        ("ann-decision", {"in_annihilator": exponent_0_rejected},
+         "rejected pair actually satisfies its candidate: (NF({}, -4), NF({}, -4))"),
+        ("star", {(Partition, "star"): star_wrong_on_three_cycle},
+         "star law fails at (Partition(3, '{1 2'}{2 3'}{3 1'}'), Partition(3, '{1 3}{2 2'}{1' 3'}'))"),
     ],
     ids=["green-R", "green-L", "embeddings-PT->T", "embeddings-I->P", "meet-right-I",
          "meet-left-P", "meet-left-T", "meet-left-no-empty-T", "presentation", "nc", "nf-mul",
-         "kappa", "annihilators", "ann-decision", "chain", "star"],
+         "kappa", "annihilators", "ann-decision", "chain", "star", "ann-decision-exponent-0",
+         "star-one-P3"],
 )
 def test_a_broken_construction_fails_its_suite(monkeypatch, capsys, name, patches, detail):
     """Each patch replaces a name in `verify`, or an (owner, name) attribute."""
@@ -100,6 +120,71 @@ def test_swapped_operands_break_most_nf_mul_pairs(monkeypatch, seed):
     bad, rest = result.detail.split(" of ", 1)
     assert not result.ok and rest == "10000 random pairs disagree with pointwise evaluation"
     assert int(bad) > 9000
+
+
+def _confirmed_by_products(u, v):
+    """The rejection half's confirmation through `nf_mul`, exponent by
+    exponent: whether x·e·u = e·v for the candidate shift and for each of
+    g^0, h^0, ..., g^15, h^15, with the product e·u multiplied out."""
+    eu, ev = nf_mul(PUNCTURE, u), nf_mul(PUNCTURE, v)
+    diff = ev.shift - eu.shift
+    powers = [NF((), diff)] + [NF((), sign * k) for k in range(16) for sign in (1, -1)]
+    return [(x, eu, ev) for x in powers], [nf_mul(x, eu) == ev for x in powers]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 424242])
+def test_pointwise_rejections_agree_with_products(monkeypatch, seed):
+    """Each rejected pair of `ann-decision` asks the pointwise referee about
+    the candidate and g^0..g^15, h^0..h^15 in turn, and each answer is the one
+    multiplying out x·e·u gives."""
+    rejected, asked = [], []
+
+    def in_annihilator(u, v):
+        verdict = real_in_annihilator(u, v)
+        if not verdict.member:
+            rejected.append((u, v))
+        return verdict
+
+    def is_product(a, b, p):
+        asked.append((a, b, p))
+        return real_is_product(a, b, p)
+
+    real_is_product = verify._is_product
+    monkeypatch.setattr(verify, "in_annihilator", in_annihilator)
+    monkeypatch.setattr(verify, "_is_product", is_product)
+    assert verify.run_suite("ann-decision", seed=seed).ok
+    assert len(rejected) == 1000 and len(asked) == 33 * 1000
+    for i, (u, v) in enumerate(rejected):
+        calls, by_products = _confirmed_by_products(u, v)
+        assert asked[33 * i:33 * (i + 1)] == calls, (u, v)
+        assert [real_is_product(*call) for call in calls] == by_products, (u, v)
+        assert all(real_is_product(x, eu, nf_mul(x, eu)) for x, eu, _ in calls), (u, v)
+
+
+def _counting(monkeypatch, owners, name):
+    """Replace `name` on each owner with one wrapper that counts its calls."""
+    real, calls = getattr(owners[0], name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_ann_decision_and_star_product_counts(monkeypatch):
+    """Counted at seed 0, so independent of the host's speed: `ann-decision`
+    confirms its rejections without `nf_mul`, and `star` computes each star
+    once per carrier."""
+    nf_calls = _counting(monkeypatch, [pmonoid, verify], "nf_mul")
+    products = _counting(monkeypatch, [Partition], "__mul__")
+    stars = _counting(monkeypatch, [Partition], "star")
+    assert verify.run_suite("ann-decision").ok
+    assert 0 < nf_calls[0] <= 25_000
+    assert verify.run_suite("star").ok
+    assert 0 < products[0] <= 3_000 and 0 < stars[0] <= 2_000
 
 
 def _window_check(a, b, half=100):
