@@ -43,6 +43,7 @@ from .pmonoid import (
     nf_of_word,
     nf_power,
     nf_window,
+    y_class,
     y_n,
 )
 from .textio import ParseError, format_element, parse_element, render_partition

@@ -74,12 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm_ann.add_argument("--nf", action="store_true", help="parse arguments as normal forms, not words")
     pm_ann.add_argument("u")
     pm_ann.add_argument("v")
-    pm_chain = pm_sub.add_parser("chain", help="bounded reachability certificate for a chain level")
+    pm_chain = pm_sub.add_parser("chain", help="decide a chain level from the closed-form class")
     pm_chain.add_argument("--n", type=int, required=True)
     pm_chain.add_argument("--y-index", type=int, default=None)
-    pm_chain.add_argument("--max-excluded", type=int, default=None)
-    pm_chain.add_argument("--max-magnitude", type=int, default=None)
-    pm_chain.add_argument("--max-length", type=int, default=8)
 
     p_render = sub.add_parser("render", help="emit a DOT drawing of a partition")
     p_render.add_argument("partition")
@@ -202,18 +199,8 @@ def cmd_pmonoid(args) -> int:
         print(f"yes n={verdict.n}{side}")
         _print_witness(annihilator_witness(u, v))
         return 0
-    report = chain_search(  # pm_command == "chain", the one left
-        args.n,
-        y_index=args.y_index,
-        max_excluded=args.max_excluded,
-        max_magnitude=args.max_magnitude,
-        max_length=args.max_length,
-    )
-    print(
-        f"n={report.n} y={report.y_index} reached={str(report.reached).lower()}"
-        f" explored={report.explored} pruned={report.pruned}"
-        f" bounds=|E|<={report.max_excluded},mag<={report.max_magnitude},len<={report.max_length}"
-    )
+    report = chain_search(args.n, y_index=args.y_index)  # pm_command == "chain", the one left
+    print(f"n={report.n} y={report.y_index} reached={str(report.reached).lower()} class={report.explored}")
     if report.reached:
         print(f"depth\t{report.depth}")
     return 0

@@ -9,8 +9,8 @@ g (shift up), h (shift down), e (puncture at 0) evaluate left to right.
 On top of the arithmetic sit the structural checkers: the defining relation
 sweep, the idempotent antichain conditions, a decision procedure for the
 annihilator relation of the puncture with explicit witnessing sequences, and
-a bounded reachability search that certifies which target pairs cannot be
-reached from a generating set within given resource bounds.
+the ρ_{Y_k}-classes listed in closed form, which decide each link of the
+strict chain ρ_{Y_1} ⊊ ρ_{Y_2} ⊊ … for any n at the same cost.
 """
 
 from __future__ import annotations
@@ -301,12 +301,14 @@ def in_annihilator(u: NF, v: NF) -> AnnihilatorVerdict:
 
 
 def annihilator_witness(u: NF, v: NF) -> YSequence:
-    """An explicit validated sequence from v to u over the annihilator pairs.
+    """An explicit sequence from v to u over the annihilator pairs.
 
     For exponent n > 0 this is the three-step chain through (1,e) and the
     side's pair (g^n e, h^n e g^n) or (h^n e, g^n e h^n), with multipliers
     v, e·u, u; exponent 0 degenerates to one or two steps.  The decision and
-    the steps share the products e·u and e·v.
+    the steps share the products e·u and e·v.  The chain is built from the
+    closed form and returned unvalidated: `validate(nf_mul)` checks it, as
+    the `ann-decision` suite does.
     """
     eu, ev, d, member = _annihilator_decision(u, v)
     if not member:
@@ -321,10 +323,7 @@ def annihilator_witness(u: NF, v: NF) -> YSequence:
             steps = ((one, e, v), (e, one, u))
     else:
         steps = ((one, e, v), (*_y_pair(d), eu), (e, one, u))
-    seq = YSequence(v, u, steps)
-    if not seq.validate(nf_mul):
-        raise AssertionError(f"constructed witness fails to validate for ({u!r}, {v!r})")
-    return seq
+    return YSequence(v, u, steps)
 
 
 def _y_pair(s: int):
@@ -369,109 +368,56 @@ def divide_left(c: NF, u: NF):
     return out
 
 
-class ChainReport(namedtuple(
-    "ChainReport", "n y_index reached explored depth pruned max_excluded max_magnitude max_length exhausted"
-)):
-    """Outcome of a bounded reachability search.
+def y_class(u: NF, k: int):
+    """The ρ_{Y_k}-class of u in closed form, in ascending shift q, the
+    saturated element of each q first.
 
-    `pruned` counts successor states that were discarded for exceeding the
-    puncture or magnitude bounds.  `exhausted` is true only when the frontier
-    emptied before the length cap cut it off; `pruned == 0` alone says
-    nothing about the length cap.  When `exhausted`, `pruned == 0` and
-    reached=False all hold, the search enumerated the whole
-    rho_{Y_y_index}-class of g^n·e, since `divide_left` returns every t with
-    c·t = w and only pairs whose c cannot divide w are skipped; so
-    (g^n e, h^n e g^n) is not in rho_{Y_y_index}.  Otherwise reached=False is
-    evidence for the stated bounds only.
+    For u = (E; s) put C = (E ∪ {0}) + s, the punctures of e·u moved by its
+    shift; s lies in C.  The pair (1, e) adds 0 to E, and the level-j pair
+    rewrites a saturated (A; q) with -j in A to (A + j; q - j): both keep C,
+    and q moves by at most k between points of C.  So the class holds, for
+    each point q of C that gaps of at most k join to s, the saturated
+    (C - q; q) and the same without 0.
+    """
+    points = [x + u.shift for x in sorted({0, *u.excluded})]
+    lo = hi = points.index(u.shift)
+    while lo and points[lo] - points[lo - 1] <= k:
+        lo -= 1
+    while hi + 1 < len(points) and points[hi + 1] - points[hi] <= k:
+        hi += 1
+    members = []
+    for q in points[lo:hi + 1]:
+        saturated = tuple([x - q for x in points])
+        members += NF._from_internal(saturated, q), NF._from_internal(tuple([x for x in saturated if x]), q)
+    return members
+
+
+class ChainReport(namedtuple("ChainReport", "n y_index reached explored depth")):
+    """Whether h^n·e·g^n lies in the ρ_{Y_y_index}-class of g^n·e.
+
+    `explored` is the size of that class, which `y_class` lists whole: 2
+    when the target is blocked, 4 when it is reached, at `depth` 1, since
+    the pair is itself the generator of level n.
     """
 
     __slots__ = ()
 
 
-def chain_search(
-    n: int,
-    y_index: int | None = None,
-    max_excluded: int | None = None,
-    max_magnitude: int | None = None,
-    max_length: int = 8,
-) -> ChainReport:
-    """Bounded BFS for a sequence from g^n·e to h^n·e·g^n over Y_{y_index}.
+def chain_search(n: int, y_index: int | None = None) -> ChainReport:
+    """Decide (g^n·e, h^n·e·g^n) ∈ ρ_{Y_y_index}, by default under Y_{n-1}.
 
-    A step from state w picks a directed pair (c, d) and any t with c*t == w,
-    moving to d*t.  States whose puncture count or coordinate magnitudes
-    exceed the bounds are pruned, as are sequences longer than max_length.
-
-    Some t exists only when c's punctures are among w's, so from w only
-    (1, e), (e, 1) when 0 is a puncture, and the pairs of levels k = |x| for
-    punctures x of w are tried, in the order of y_n.  Each pair is built in
-    closed form, so the cost does not grow with the value of y_index or n.
+    Both ends have C = {0, n}, so the target is reached exactly when the gap
+    n is at most y_index; the cost does not grow with n or y_index.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if max_length < 0:
-        raise ValueError(f"max_length must be non-negative, got {max_length}")
     if y_index is None:
         if n < 2:
             raise ValueError("default search needs n >= 2 (it uses Y_{n-1})")
         y_index = n - 1
     if y_index < 1:
         raise ValueError(f"y_index must be at least 1, got {y_index}")
-    if max_excluded is None:
-        max_excluded = n + 2
-    if max_excluded < 0:
-        raise ValueError(f"max_excluded must be non-negative, got {max_excluded}")
-    if max_magnitude is None:
-        max_magnitude = 3 * n
-    if max_magnitude < 0:
-        raise ValueError(f"max_magnitude must be non-negative, got {max_magnitude}")
     start, target = _y_pair(n)
-
-    def directed(w):
-        """The directed pairs (c, d) of Y_{y_index} whose c divides w."""
-        punctures = set(w.excluded)
-        pairs = [(NF_IDENTITY, PUNCTURE)]
-        if 0 in punctures:
-            pairs.append((PUNCTURE, NF_IDENTITY))
-        for k in sorted({abs(x) for x in punctures if 0 < abs(x) <= y_index}):
-            for s in (k, -k):
-                c, d = _y_pair(s)
-                if -s in punctures:
-                    pairs.append((c, d))
-                if s in punctures:
-                    pairs.append((d, c))
-        return pairs
-
-    def within_bounds(w):
-        if len(w.excluded) > max_excluded:
-            return False
-        coords = w.excluded + (w.shift,)
-        return all(abs(x) <= max_magnitude for x in coords)
-
-    visited = {start}
-    frontier = [start]
-    explored = 1
-    pruned = 0
-    depth = None
-    for level in range(1, max_length + 1):
-        nxt = []
-        for successor in (nf_mul(d, t) for w in frontier
-                          for c, d in directed(w) for t in divide_left(c, w)):
-            if successor == target:
-                depth = level
-                break
-            if successor in visited:
-                continue
-            if not within_bounds(successor):
-                pruned += 1
-                continue
-            visited.add(successor)
-            nxt.append(successor)
-            explored += 1
-        frontier = nxt
-        if depth is not None or not frontier:
-            break
-    reached = depth is not None
-    return ChainReport(
-        n, y_index, reached, explored, depth, pruned,
-        max_excluded, max_magnitude, max_length, not reached and not frontier,
-    )
+    members = y_class(start, y_index)
+    reached = target in members
+    return ChainReport(n, y_index, reached, len(members), 1 if reached else None)

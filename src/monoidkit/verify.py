@@ -34,9 +34,11 @@ from .pmonoid import (
     check_nc,
     check_presentation,
     annihilator_witness,
+    divide_left,
     in_annihilator,
     nf_mul,
     nf_power,
+    y_class,
     y_n,
 )
 
@@ -296,11 +298,24 @@ def suite_ann_decision(seed: int = 0):
 
 @suite("chain")
 def suite_chain():
+    """The closed-form Y_{n-1}-class of g^n·e, confirmed closed under every
+    step of Y_{n-1} by products alone: each directed pair (c, d), each t
+    with c·t a member, and d·t is a member too."""
     details = []
     for n in range(2, 6):
+        start, target = NF((-n,), n), NF((n,), 0)  # g^n·e and h^n·e·g^n
+        members = y_class(start, n - 1)
+        for w in members:
+            for pair in y_n(n - 1):
+                for c, d in (pair, pair[::-1]):
+                    for x in [nf_mul(d, t) for t in divide_left(c, w)]:
+                        if x not in members:
+                            return False, f"Y_{n - 1}-class of g^{n}·e not closed: {w!r} steps to {x!r}"
         report = chain_search(n)
-        if report.reached:
-            return False, f"target for n={n} reached under Y_{n - 1} within bounds"
+        if report.reached or target in members:
+            return False, f"target for n={n} reached under Y_{n - 1}"
+        if report.explored != len(members):
+            return False, f"chain_search for n={n} counts {report.explored} states, the class {len(members)}"
         direct = chain_search(n, y_index=n)
         if not direct.reached or direct.depth != 1:
             return False, f"target for n={n} not reached in one step under Y_{n}"

@@ -307,28 +307,27 @@ def test_checker_bounds_past_their_cost_limit_refused(capsys, argv, bound):
     assert err.startswith(f"error: {bound}, got ")
 
 
+def _refused_removed_bound(capsys, flag):
+    """A search bound that `pmonoid chain` no longer takes is an unknown option."""
+    code, out, err = run(capsys, "pmonoid", "chain", "--n", "3", flag, "0")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} 0" in err
+
+
 def test_pmonoid_chain_negative_length(capsys):
-    code, out, err = run(capsys, "pmonoid", "chain", "--n", "3", "--max-length", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:")
+    _refused_removed_bound(capsys, "--max-length")
 
 
 def test_pmonoid_chain_twelve_digit_y_index(capsys):
     code, out, _ = run(capsys, "pmonoid", "chain", "--n", "2", "--y-index", "1000000000000")
     assert code == 0
-    assert out.splitlines() == [
-        "n=2 y=1000000000000 reached=true explored=2 pruned=0 bounds=|E|<=4,mag<=6,len<=8",
-        "depth\t1",
-    ]
+    assert out.splitlines() == ["n=2 y=1000000000000 reached=true class=4", "depth\t1"]
 
 
 def test_pmonoid_chain_twelve_digit_n(capsys):
     code, out, _ = run(capsys, "pmonoid", "chain", "--n", "1000000000000")
     assert code == 0
-    assert out == (
-        "n=1000000000000 y=999999999999 reached=false explored=2 pruned=0 "
-        "bounds=|E|<=1000000000002,mag<=3000000000000,len<=8\n"
-    )
+    assert out == "n=1000000000000 y=999999999999 reached=false class=2\n"
 
 
 def test_pmonoid_chain_zero_y_index(capsys):
@@ -338,15 +337,11 @@ def test_pmonoid_chain_zero_y_index(capsys):
 
 
 def test_pmonoid_chain_negative_magnitude(capsys):
-    code, out, err = run(capsys, "pmonoid", "chain", "--n", "2", "--max-magnitude", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "max_magnitude" in err
+    _refused_removed_bound(capsys, "--max-magnitude")
 
 
 def test_pmonoid_chain_negative_excluded(capsys):
-    code, out, err = run(capsys, "pmonoid", "chain", "--n", "2", "--max-excluded", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "max_excluded" in err
+    _refused_removed_bound(capsys, "--max-excluded")
 
 
 def test_verify_presentation_negative_bound(capsys):
@@ -356,12 +351,8 @@ def test_verify_presentation_negative_bound(capsys):
 
 
 def test_pmonoid_chain_report(capsys):
-    code, out, _ = run(
-        capsys, "pmonoid", "chain", "--n", "2", "--max-excluded", "3", "--max-magnitude", "6",
-    )
-    assert code == 0
-    assert out.startswith("n=2 y=1 reached=false explored=")
-    assert "bounds=|E|<=3,mag<=6,len<=8" in out
+    code, out, _ = run(capsys, "pmonoid", "chain", "--n", "2")
+    assert (code, out) == (0, "n=2 y=1 reached=false class=2\n")
 
 
 def test_render_partition(capsys):

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from monoidkit.pmonoid import (
     nf_window,
     presentation_relations,
     _presentation_sides,
+    y_class,
     y_n,
 )
 
@@ -599,7 +602,7 @@ def test_annihilator_matches_power_oracle():
     assert sides == {(None, False), ("g", False), ("h", False), ("g", True), ("h", True)}
 
 
-# --- generating pairs and the chain search --------------------------------------------
+# --- generating pairs, the ρ_{Y_k}-classes and the chain ------------------------------
 
 
 def test_y_n_shape():
@@ -613,11 +616,82 @@ def test_y_n_shape():
         y_n(0)
 
 
+def _class_by_search(u, k):
+    """The ρ_{Y_k}-class of u, by the all-pairs search with no target and no
+    bound."""
+    return _search_over_all_pairs(u, None, k)[1]
+
+
+def _class_cases(seed, count):
+    """(u, k) with up to 4 punctures, coordinates within 6 and k in 1..8."""
+    rng = random.Random(seed)
+    return [(random_nf(rng, max_excluded=4, max_coord=6), rng.randint(1, 8)) for _ in range(count)]
+
+
+def test_y_class_equals_the_unbounded_search():
+    sizes = set()
+    for u, k in _class_cases(41, 3000):
+        members = y_class(u, k)
+        assert len(set(members)) == len(members) and set(members) == _class_by_search(u, k), (u, k)
+        sizes.add(len(members))
+    assert sizes == {2, 4, 6, 8, 10}
+
+
+def test_y_class_lists_ascending_shifts_saturated_first():
+    for u, k in _class_cases(43, 500):
+        members = y_class(u, k)
+        saturated, bare = members[::2], members[1::2]
+        assert [a.shift for a in saturated] == sorted({a.shift for a in members}), (u, k)
+        assert all(0 in a.excluded for a in saturated), (u, k)
+        assert bare == [NF(tuple(x for x in a.excluded if x), a.shift) for a in saturated], (u, k)
+
+
+def test_y_class_at_an_unbounded_level_is_the_annihilator():
+    rng = random.Random(47)
+    pairs = _accepted_pairs(rng, 5000, 10) + [(random_nf(rng), random_nf(rng)) for _ in range(15000)]
+    members = 0
+    for u, v in pairs:
+        member = in_annihilator(u, v).member
+        assert (v in y_class(u, 10 ** 12)) == member, (u, v)
+        members += member
+    assert 5000 <= members < 6000
+
+
+Y_CLASS_MUTANTS = {
+    "C without the saturating point": ("sorted({0, *u.excluded})", "sorted(u.excluded)"),
+    "< for <= on the gap": ("<= k", "< k"),
+    "the gap taken over all of C": (
+        "lo = hi = points.index(u.shift)",
+        "lo = hi = points.index(u.shift)\n"
+        "    if all(b - a <= k for a, b in zip(points, points[1:])):\n"
+        "        lo, hi = 0, len(points) - 1\n"
+        "    k = -1",  # stops the two sweeps, so only the test over all of C joins points
+    ),
+}
+
+
+@pytest.mark.parametrize("old,new", Y_CLASS_MUTANTS.values(), ids=Y_CLASS_MUTANTS)
+def test_each_y_class_mutant_differs_from_the_search(old, new):
+    """`y_class` with one edit to its source, run on 2,000 of the cases the
+    search referee checks: some class comes out wrong, or the mutant raises."""
+    source = inspect.getsource(pmonoid.y_class)
+    assert old in source
+    namespace = dict(vars(pmonoid))
+    exec(source.replace(old, new), namespace)
+    mutant, wrong = namespace["y_class"], 0
+    for u, k in _class_cases(41, 2000):
+        try:
+            wrong += set(mutant(u, k)) != _class_by_search(u, k)
+        except ValueError:
+            wrong += 1
+    assert wrong > 100
+
+
 def test_chain_blocked_at_tight_bounds():
-    report = chain_search(2, max_excluded=3, max_magnitude=6, max_length=8)
-    assert not report.reached
-    report3 = chain_search(3, max_excluded=3, max_magnitude=8, max_length=8)
-    assert not report3.reached
+    """Blocked in the closed form, and by the bounded search at tight bounds."""
+    assert not chain_search(2).reached and not chain_search(3).reached
+    assert not _chain_search_over_all_pairs(2, 1, 3, 6, 8)[0]
+    assert not _chain_search_over_all_pairs(3, 2, 3, 8, 8)[0]
 
 
 def test_chain_target_is_direct_generator():
@@ -626,53 +700,49 @@ def test_chain_target_is_direct_generator():
 
 
 def test_chain_report_records_bounds():
-    report = chain_search(4)
-    assert (report.max_excluded, report.max_magnitude, report.max_length) == (6, 12, 8)
-    assert report.n == 4 and report.y_index == 3
-    assert report.explored >= 1
+    """The report keeps only what the class decides: no search bound is left
+    to record."""
+    assert chain_search(4) == (4, 3, False, 2, None)
+    assert chain_search(4, y_index=4) == (4, 4, True, 4, 1)
 
 
 def test_chain_search_saturates_without_pruning():
-    # The reachable set from the start state is tiny, so even generous bounds
-    # never prune anything and the frontier dies out on its own; so does the
-    # default search, which thereby proves the target outside rho_{Y_{n-1}}.
-    reports = [
-        chain_search(n, max_excluded=10, max_magnitude=10 * n, max_length=20) for n in (2, 3)
-    ]
-    reports += [chain_search(n) for n in range(2, 8)]
-    for report in reports:
-        assert not report.reached
-        assert report.pruned == 0
-        assert report.explored == 2
-        assert report.exhausted
+    # The class of the start state has 2 states, so the bounded search never
+    # prunes at generous bounds and its frontier dies out on its own, having
+    # listed the same 2 states as the closed form.
+    for n in (2, 3):
+        assert _chain_search_over_all_pairs(n, n - 1, 10, 10 * n, 20) == (False, 2, None, 0, True)
+    for n in range(2, 8):
+        assert _chain_search_over_all_pairs(n, n - 1, n + 2, 3 * n, 8) == (False, 2, None, 0, True)
+        assert chain_search(n).explored == 2
 
 
 def test_chain_length_cap_is_not_exhaustion():
-    # The cap stops the search before the start state is expanded, so no
-    # state is pruned, yet the reachable set (2 states) is not enumerated.
-    report = chain_search(3, max_length=0)
-    assert report.pruned == 0 and report.explored == 1
-    assert report.exhausted is False
+    # For the bounded search: the cap stops it before the start state is
+    # expanded, so no state is pruned, yet the class (2 states) is not listed.
+    assert _chain_search_over_all_pairs(3, 2, 5, 9, 0) == (False, 1, None, 0, False)
+    assert chain_search(3).explored == 2
 
 
-def _chain_search_over_all_pairs(n, y_index, max_excluded, max_magnitude, max_length):
-    """The search that tries every directed pair of y_n(y_index) from every
-    state, as chain_search did before it skipped the pairs that cannot apply."""
-    start = nf_of_word("g" * n + "e")
-    target = nf_of_word("h" * n + "e" + "g" * n)
-    directed = []
-    for c, d in y_n(y_index):
-        directed += [(c, d), (d, c)]
+def _search_over_all_pairs(start, target, y_index, max_excluded=math.inf, max_magnitude=math.inf,
+                           max_length=math.inf):
+    """The search from start towards target: every directed pair (c, d) of
+    y_n(y_index) from every state w, and every t with c·t = w, give d·t;
+    states past max_excluded punctures or max_magnitude are pruned, paths past
+    max_length cut off.  Returns (reached, visited, depth, pruned,
+    exhausted)."""
+    directed = [p for pair in y_n(y_index) for p in (pair, pair[::-1])]
     visited, frontier = {start}, [start]
-    explored, pruned = 1, 0
-    for depth in range(1, max_length + 1):
+    pruned, depth = 0, 0
+    while frontier and depth < max_length:
+        depth += 1
         nxt = []
         for w in frontier:
             for c, d in directed:
                 for t in divide_left(c, w):
                     successor = nf_mul(d, t)
                     if successor == target:
-                        return True, explored, depth, pruned, False
+                        return True, visited, depth, pruned, False
                     if successor in visited:
                         continue
                     coords = successor.excluded + (successor.shift,)
@@ -683,26 +753,44 @@ def _chain_search_over_all_pairs(n, y_index, max_excluded, max_magnitude, max_le
                         continue
                     visited.add(successor)
                     nxt.append(successor)
-                    explored += 1
         frontier = nxt
-        if not frontier:
-            break
-    return False, explored, None, pruned, not frontier
+    return False, visited, None, pruned, not frontier
+
+
+def _chain_search_over_all_pairs(n, y_index, max_excluded, max_magnitude, max_length):
+    """The bounded search from g^n·e towards h^n·e·g^n, as chain_search ran
+    before the closed form.  Returns (reached, explored, depth, pruned,
+    exhausted)."""
+    start = nf_of_word("g" * n + "e")
+    target = nf_of_word("h" * n + "e" + "g" * n)
+    reached, visited, depth, pruned, exhausted = _search_over_all_pairs(
+        start, target, y_index, max_excluded, max_magnitude, max_length
+    )
+    return reached, len(visited), depth, pruned, exhausted
 
 
 def test_chain_search_matches_all_pairs_oracle():
+    """Where the bounded search reaches the target, so does the closed form,
+    at the same depth; where it lists a whole class unpruned and misses the
+    target, the closed form is blocked and counts the same states."""
     grid = itertools.product(range(1, 4), range(1, 5), (0, 2, 5), (0, 4, 9, 15), (0, 2, 5))
+    compared = {"reached": 0, "blocked": 0}
     for n, y_index, max_excluded, max_magnitude, max_length in grid:
         bounds = (n, y_index, max_excluded, max_magnitude, max_length)
-        r = chain_search(*bounds)
-        assert (r.reached, r.explored, r.depth, r.pruned, r.exhausted) == (
-            _chain_search_over_all_pairs(*bounds)
-        ), bounds
+        reached, explored, depth, pruned, exhausted = _chain_search_over_all_pairs(*bounds)
+        r = chain_search(n, y_index)
+        if reached:
+            assert (r.reached, r.depth) == (True, depth), bounds
+            compared["reached"] += 1
+        elif exhausted and not pruned:
+            assert (r.reached, r.depth, r.explored) == (False, None, explored), bounds
+            compared["blocked"] += 1
+    assert compared == {"reached": 216, "blocked": 36}
 
 
 def test_chain_cost_does_not_grow_with_y_index():
-    # Levels above the largest reachable puncture never apply, so a
-    # 12-digit index gives the report of the smallest sufficient one.
+    # The class of g^n·e has C = {0, n}, so every level from n up gives the
+    # report of level n itself.
     for n in (2, 3, 4):
         report = chain_search(n, y_index=10 ** 12)
         assert report.reached and report.depth == 1
@@ -725,33 +813,35 @@ def test_chain_endpoints_closed_form_match_words():
 
 
 def test_chain_cost_does_not_grow_with_n():
-    # Start and target are built in closed form, and below the target level
-    # only (1, e) applies, so a 12-digit n gives the report of a small one.
+    # Start and target are built in closed form, and their class has C =
+    # {0, n} whatever n is, so a 12-digit n gives the report of a small one.
     small = chain_search(5)
     for n in (10 ** 12, 10 ** 12 + 1):
-        expected = small._replace(n=n, y_index=n - 1, max_excluded=n + 2, max_magnitude=3 * n)
-        assert chain_search(n) == expected
+        assert chain_search(n) == small._replace(n=n, y_index=n - 1)
 
 
 def test_chain_refuses_vacuous_bounds():
-    for kwargs, name in (
-        ({"max_excluded": -1}, "max_excluded"),
-        ({"max_magnitude": -1}, "max_magnitude"),
-        ({"y_index": 0}, "y_index"),
-        ({"y_index": -3}, "y_index"),
-    ):
-        with pytest.raises(ValueError, match=name):
-            chain_search(2, **kwargs)
-    assert chain_search(2, max_excluded=0, max_magnitude=0).pruned > 0
+    for y_index in (0, -3):
+        with pytest.raises(ValueError, match=f"^y_index must be at least 1, got {y_index}$"):
+            chain_search(2, y_index)
+    for name in ("max_excluded", "max_magnitude", "max_length"):
+        with pytest.raises(TypeError, match=name):
+            chain_search(2, **{name: 8})
+    # Pruning is a fact of the bounded search alone.
+    assert _chain_search_over_all_pairs(2, 1, 0, 0, 8)[3] > 0
 
 
 def test_chain_argument_validation():
-    with pytest.raises(ValueError):
-        chain_search(0)
-    with pytest.raises(ValueError):
-        chain_search(1)  # no default generating set below the target level
+    for args, message in (
+        ((0, 0), "n must be at least 1"),
+        ((1,), "default search needs n >= 2 (it uses Y_{n-1})"),
+        ((2, 0), "y_index must be at least 1, got 0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            chain_search(*args)
+        assert str(info.value) == message
     assert chain_search(1, y_index=1).reached
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         chain_search(3, max_length=-1)
 
 
@@ -804,8 +894,9 @@ def test_shared_decision_matches_separate_decision():
 
 
 def test_witness_makes_each_product_once(monkeypatch):
-    """e·u and e·v serve both the decision and the middle step, so a witness
-    for n > 0 costs those 2 products plus the 6 of its validation."""
+    """e·u and e·v serve both the decision and the middle step, and the
+    chain is returned unvalidated, so a witness for n > 0 costs those 2
+    products alone."""
     calls = []
 
     def counting_mul(a, b):
@@ -823,6 +914,6 @@ def test_witness_makes_each_product_once(monkeypatch):
             continue
         calls.clear()
         annihilator_witness(u, v)
-        assert len(calls) <= 8, len(calls)
+        assert len(calls) <= 2, len(calls)
         checked += 1
     assert checked > 100

@@ -15,6 +15,7 @@ from monoidkit.pmonoid import NF, PUNCTURE, AnnihilatorVerdict, nf_mul, nf_windo
 
 real_embed, real_leq_R, real_leq_L, real_meet = verify.embed, verify.leq_R, verify.leq_L, verify.meet
 real_nf_mul, real_chain_search, real_in_annihilator = verify.nf_mul, verify.chain_search, verify.in_annihilator
+real_y_class, real_y_pair = verify.y_class, pmonoid._y_pair
 real_star = Partition.star
 
 
@@ -80,8 +81,12 @@ def star_wrong_on_three_cycle(self):
          "annihilator of idempotent PartialMap([1,1,1]) in T_3 differs"),
         ("ann-decision", {"in_annihilator": lambda u, v: AnnihilatorVerdict(False)},
          "constructed pair rejected: (NF({-3}, -8), NF({3}, -11))"),
-        ("chain", {"chain_search": lambda n, **bounds: real_chain_search(n, **bounds)._replace(reached=True)},
-         "target for n=2 reached under Y_1 within bounds"),
+        ("chain", {"chain_search": lambda n, y_index=None: real_chain_search(n, y_index)._replace(reached=True)},
+         "target for n=2 reached under Y_1"),
+        ("chain", {"y_class": lambda u, k: real_y_class(u, k)[:-1]},
+         "Y_1-class of g^2·e not closed: NF({-2,0}, +2) steps to NF({-2}, +2)"),
+        ("ann-decision", {(pmonoid, "_y_pair"): lambda s: real_y_pair(s)[::-1]},
+         "witness fails for (NF({-3}, -8), NF({3}, -11))"),
         ("star", {(Partition, "star"): lambda self: self},
          "involution/sandwich law fails at Partition(2, '{1}{2 1'}{2'}')"),
         ("ann-decision", {"in_annihilator": exponent_0_rejected},
@@ -91,8 +96,8 @@ def star_wrong_on_three_cycle(self):
     ],
     ids=["green-R", "green-L", "embeddings-PT->T", "embeddings-I->P", "meet-right-I",
          "meet-left-P", "meet-left-T", "meet-left-no-empty-T", "presentation", "nc", "nf-mul",
-         "kappa", "annihilators", "ann-decision", "chain", "star", "ann-decision-exponent-0",
-         "star-one-P3"],
+         "kappa", "annihilators", "ann-decision", "chain", "chain-class-not-closed",
+         "ann-decision-unvalidated-witness", "star", "ann-decision-exponent-0", "star-one-P3"],
 )
 def test_a_broken_construction_fails_its_suite(monkeypatch, capsys, name, patches, detail):
     """Each patch replaces a name in `verify`, or an (owner, name) attribute."""
@@ -182,7 +187,7 @@ def test_ann_decision_and_star_product_counts(monkeypatch):
     products = _counting(monkeypatch, [Partition], "__mul__")
     stars = _counting(monkeypatch, [Partition], "star")
     assert verify.run_suite("ann-decision").ok
-    assert 0 < nf_calls[0] <= 25_000
+    assert 0 < nf_calls[0] <= 17_000
     assert verify.run_suite("star").ok
     assert 0 < products[0] <= 3_000 and 0 < stars[0] <= 2_000
 
