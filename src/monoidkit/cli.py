@@ -18,7 +18,7 @@ from .congruence import rc_close, annihilator, y_sequence
 from .elements import KINDS
 from .ideals import meet, verify_meet
 from .order import leq_L, leq_R, leq_oracle
-from .pmonoid import chain_search, check_limits, check_nc, check_presentation, in_annihilator, annihilator_witness
+from .pmonoid import chain_search, check_nc, check_presentation, in_annihilator, annihilator_witness
 from .textio import ParseError, format_element, parse_element, render_partition
 from .verify import SUITES, cached_monoid, delta, run_suite
 
@@ -66,10 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pm = sub.add_parser("pmonoid", help="the integer shift-map monoid")
     pm_sub = p_pm.add_subparsers(dest="pm_command", required=True)
-    pm_rel = pm_sub.add_parser("relations", help="check the defining relations in normal form")
-    pm_rel.add_argument("--max-k", type=int, default=50)
-    pm_nc = pm_sub.add_parser("nc", help="check the idempotent antichain conditions")
-    pm_nc.add_argument("--max-n", type=int, default=50)
+    pm_sub.add_parser("relations", help="check the defining relations for every k in normal form")
+    pm_sub.add_parser("nc", help="check the idempotent antichain conditions for every index")
     pm_ann = pm_sub.add_parser("ann", help="decide the puncture-annihilator relation for a pair")
     pm_ann.add_argument("--nf", action="store_true", help="parse arguments as normal forms, not words")
     pm_ann.add_argument("u")
@@ -84,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", choices=tuple(SUITES) + ("all",))
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--max-k", "--k", type=int, default=50,
-                          help="relation exponent bound (presentation)")
-    p_verify.add_argument("--max-n", "--n", type=int, default=50, help="index bound (nc)")
 
     return parser
 
@@ -184,7 +179,7 @@ def cmd_annihilator(args) -> int:
 
 def cmd_pmonoid(args) -> int:
     if args.pm_command in ("relations", "nc"):
-        ok = check_presentation(args.max_k) if args.pm_command == "relations" else check_nc(args.max_n)
+        ok = check_presentation() if args.pm_command == "relations" else check_nc()
         print("true" if ok else "false")
         return 0 if ok else 1
     if args.pm_command == "ann":
@@ -214,10 +209,9 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    check_limits(max_k=args.max_k, max_n=args.max_n)  # both bounds, before any suite prints
     all_ok = True
     for name in names:
-        result = run_suite(name, seed=args.seed, max_k=args.max_k, max_n=args.max_n)
+        result = run_suite(name, seed=args.seed)
         print(result.line())
         all_ok &= result.ok
     return 0 if all_ok else 1

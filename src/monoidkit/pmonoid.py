@@ -6,11 +6,12 @@ normal form, multiplied by a closed-form rule that is checked pointwise on
 ℤ and against windowed composition in the tests.  Words over the alphabet
 g (shift up), h (shift down), e (puncture at 0) evaluate left to right.
 
-On top of the arithmetic sit the structural checkers: the defining relation
-sweep, the idempotent antichain conditions, a decision procedure for the
-annihilator relation of the puncture with explicit witnessing sequences, and
-the ρ_{Y_k}-classes listed in closed form, which decide each link of the
-strict chain ρ_{Y_1} ⊊ ρ_{Y_2} ⊊ … for any n at the same cost.
+On top of the arithmetic sit the structural checkers: the defining relations
+and the idempotent antichain conditions, each settled for every index by one
+fixed check, a decision procedure for the annihilator relation of the
+puncture with explicit witnessing sequences, and the ρ_{Y_k}-classes listed
+in closed form, which decide each link of the strict chain
+ρ_{Y_1} ⊊ ρ_{Y_2} ⊊ … for any n at the same cost.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections import namedtuple
 
 from .congruence import YSequence
 from .elements import PartialMap
+from .order import natural_leq
 
 
 class NF:
@@ -183,94 +185,55 @@ PRESENTATION_BASE = (
 )
 
 
-def presentation_relations(max_k: int):
-    """The defining relation word pairs, with exponents up to max_k.
+def check_presentation() -> bool:
+    """Every defining relation holds, for every k >= 1, as an exact
+    normal-form equality.
 
-    Words for exponent k have 4k+2 letters; `check_presentation` evaluates
-    the same relations from closed-form blocks, and the tests hold it to
-    these words."""
-    rels = list(PRESENTATION_BASE)
-    for k in range(1, max_k + 1):
-        gk, hk = "g" * k, "h" * k
-        rels.append(("e" + gk + "e" + hk, gk + "e" + hk + "e"))
-        rels.append(("e" + hk + "e" + gk, hk + "e" + gk + "e"))
-    return rels
-
-
-def _presentation_sides(max_k: int):
-    """Both sides of each defining relation as normal forms, in the order of
-    `presentation_relations`.
-
-    The base relations are evaluated from their words.  A parametrised
-    relation e·p·e·q = p·e·q·e, with (p, q) = (g^k, h^k) or (h^k, g^k), is
-    joined from the closed-form blocks e, g^k and h^k, so each costs O(1)
-    products whatever the value of k.
+    The base relations are evaluated from their words.  The relations
+    e·g^k·e·h^k = g^k·e·h^k·e and its mirror e·h^k·e·g^k = h^k·e·g^k·e are
+    joined at k = 1 from the blocks e, g and h, and that covers every k:
+    the scaling σ_k: (E; s) ↦ (kE; ks) is an injective morphism, since a
+    product's punctures E_a ∪ (E_b - s_a) scale with it, and it sends g, h
+    and e to g^k, h^k and e.  So relation k is σ_k of relation 1, and it
+    holds exactly when relation 1 does.
     """
-    for lhs, rhs in PRESENTATION_BASE:
-        yield nf_of_word(lhs), nf_of_word(rhs)
-    e = PUNCTURE
-    for k in range(1, max_k + 1):
-        gk, hk = NF._from_internal((), k), NF._from_internal((), -k)
-        eg, eh, ge, he = nf_mul(e, gk), nf_mul(e, hk), nf_mul(gk, e), nf_mul(hk, e)
-        yield nf_mul(eg, eh), nf_mul(ge, he)
-        yield nf_mul(eh, eg), nf_mul(he, ge)
+    if any(nf_of_word(lhs) != nf_of_word(rhs) for lhs, rhs in PRESENTATION_BASE):
+        return False
+    e, g, h = PUNCTURE, SHIFT_UP, SHIFT_DOWN
+    eg, eh, ge, he = nf_mul(e, g), nf_mul(e, h), nf_mul(g, e), nf_mul(h, e)
+    return nf_mul(eg, eh) == nf_mul(ge, he) and nf_mul(eh, eg) == nf_mul(he, ge)
 
 
-def check_limits(max_k=0, max_n=0):
-    """Refuse a bound below 0 or past the limit its checker's cost allows."""
-    for name, value, limit in (("max_k", max_k, 100_000), ("max_n", max_n, 200)):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-        if value > limit:
-            raise ValueError(f"{name} must be at most {limit}, got {value}")
-
-
-def check_presentation(max_k: int) -> bool:
-    """Every defining relation holds as an exact normal-form equality; the
-    cost is linear in max_k, which is refused past 100000."""
-    check_limits(max_k=max_k)
-    return all(lhs == rhs for lhs, rhs in _presentation_sides(max_k))
-
-
-def check_nc(max_n: int) -> bool:
-    """The four antichain conditions on conjugated punctures, up to max_n.
+def check_nc() -> bool:
+    """The four antichain conditions on conjugated punctures, for every index.
 
     up(k) = g^k e h^k and dn(k) = h^k e g^k are idempotents; the conditions
     say the puncture commutes with them, they form an antichain between the
-    two families and within each family, so up(1..N) ∪ dn(1..N) is one
-    antichain, and e·up(n) sits below no up(k) with 0 < k < n and below no
-    dn(k) at all.  The cost is quadratic in max_n, which is refused past 200.
+    two families and within each family, so all the up(k) and dn(k) form
+    one antichain, and e·up(n) sits below no up(k) with 0 < k < n and below
+    no dn(k) at all.
+
+    They are checked at the indices 1 and 2, and that covers every index.
+    Each element compared is an idempotent (E; 0), up(k) = ({-k}; 0),
+    dn(k) = ({k}; 0) and e·up(n) = ({-n, 0}; 0), so a product of two is the
+    union of their punctures.  Each condition names at most two indices
+    k < n; the points 0, ±k and ±n are then distinct, and relabelling them
+    0, ±1 and ±2 keeps every product and every equality.
     """
-    check_limits(max_n=max_n)
     e = PUNCTURE
-    up = [None] + [nf_of_word("g" * k + "e" + "h" * k) for k in range(1, max_n + 1)]
-    dn = [None] + [nf_of_word("h" * k + "e" + "g" * k) for k in range(1, max_n + 1)]
     if nf_of_word("hge") != e or nf_of_word("ehg") != e:
         return False
-    for n in range(1, max_n + 1):
-        if nf_mul(e, up[n]) != nf_mul(up[n], e):
-            return False
-        if nf_mul(e, dn[n]) != nf_mul(dn[n], e):
-            return False
-    # Each idempotent is proved so once; comparisons then cost two products.
-    family = up[1:] + dn[1:]
-    if not all(nf_mul(x, x) == x for x in family):
+    up = [nf_of_word("g" * k + "e" + "h" * k) for k in (1, 2)]
+    dn = [nf_of_word("h" * k + "e" + "g" * k) for k in (1, 2)]
+    family = up + dn
+    if any(nf_mul(e, x) != nf_mul(x, e) for x in family):
         return False
-    if any(_below(x, y) for x, y in itertools.permutations(family, 2)):
+    eup = [nf_mul(e, x) for x in up]
+    # Proved idempotent here, so `natural_leq` never raises below.
+    if not all(nf_mul(x, x) == x for x in family + eup):
         return False
-    for n in range(1, max_n + 1):
-        eup = nf_mul(e, up[n])
-        if nf_mul(eup, eup) != eup:
-            return False
-        if any(_below(eup, up[k]) for k in range(1, n)) or any(_below(eup, dn[k]) for k in range(1, n + 1)):
-            return False
-    return True
-
-
-def _below(e, f):
-    """e <= f in the natural order, for idempotents e and f: the products of
-    `order.natural_leq` without its idempotency checks."""
-    return nf_mul(f, e) == e and nf_mul(e, f) == e
+    pairs = [*itertools.permutations(family, 2), (eup[1], up[0]), *itertools.product(eup, dn)]
+    return not any(natural_leq(x, y) for x, y in pairs)
 
 
 class AnnihilatorVerdict(namedtuple("AnnihilatorVerdict", "member n side", defaults=(None, None))):

@@ -82,8 +82,8 @@ def suite(name):
     """Register a suite body under `name`, in definition order.
 
     The registered callable takes the body's arguments, times the body and
-    returns its (ok, detail) outcome as a SuiteResult.  Its `takes` names
-    which of the seed and the presentation and nc bounds the body takes.
+    returns its (ok, detail) outcome as a SuiteResult.  Its `takes_seed`
+    says whether the body takes a seed.
     """
 
     def register(body):
@@ -94,7 +94,7 @@ def suite(name):
             return SuiteResult(name, ok, detail, time.perf_counter() - start)
 
         code = body.__code__
-        timed.takes = [key for key in ("seed", "max_k", "max_n") if key in code.co_varnames[:code.co_argcount]]
+        timed.takes_seed = "seed" in code.co_varnames[:code.co_argcount]
         SUITES[name] = timed
         return timed
 
@@ -102,17 +102,17 @@ def suite(name):
 
 
 @suite("presentation")
-def suite_presentation(max_k: int = 50):
-    if check_presentation(max_k):
-        return True, f"all defining relations hold for k <= {max_k}"
-    return False, f"some defining relation fails for k <= {max_k}"
+def suite_presentation():
+    if check_presentation():
+        return True, "all defining relations hold for every k >= 1"
+    return False, "some defining relation fails"
 
 
 @suite("nc")
-def suite_nc(max_n: int = 50):
-    if check_nc(max_n):
-        return True, f"antichain conditions hold for indices <= {max_n}"
-    return False, f"some antichain condition fails for indices <= {max_n}"
+def suite_nc():
+    if check_nc():
+        return True, "antichain conditions hold for every index"
+    return False, "some antichain condition fails"
 
 
 def _is_product(a: NF, b: NF, p: NF) -> bool:
@@ -361,11 +361,9 @@ def suite_star(seed: int = 0):
     return True, f"star laws hold on all {len(p2) ** 2} P_2 pairs and {sample} random P_3 pairs"
 
 
-def run_suite(name: str, seed: int = 0, max_k: int = 50, max_n: int = 50) -> SuiteResult:
-    """Run one registered suite, passing it whichever of the seed and the
-    presentation and nc bounds it takes."""
+def run_suite(name: str, seed: int = 0) -> SuiteResult:
+    """Run one registered suite, passing it the seed if it takes one."""
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")
-    options = {"seed": seed, "max_k": max_k, "max_n": max_n}
-    return fn(**{key: options[key] for key in fn.takes})
+    return fn(seed=seed) if fn.takes_seed else fn()

@@ -33,11 +33,11 @@ def _report(number, result, budget=None):
 
 
 def test_criterion_01_presentation_soundness():
-    _report(1, suite_presentation(max_k=50), budget=1.0)
+    _report(1, suite_presentation(), budget=1.0)
 
 
 def test_criterion_02_nc_conditions():
-    _report(2, suite_nc(max_n=50), budget=1.0)
+    _report(2, suite_nc(), budget=1.0)
 
 
 def test_criterion_03_nf_multiplication_oracle():

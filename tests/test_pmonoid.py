@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -28,11 +29,10 @@ from monoidkit.pmonoid import (
     nf_of_word,
     nf_power,
     nf_window,
-    presentation_relations,
-    _presentation_sides,
     y_class,
     y_n,
 )
+from sweep_oracle import nc_sweep, presentation_relations, presentation_sweep
 
 
 def random_nf(rng, max_excluded=3, max_coord=10):
@@ -338,26 +338,90 @@ def test_power_cost_does_not_grow_with_exponent():
 # --- presentation and antichain checkers ---------------------------------------
 
 
+def _scale(a, k):
+    """σ_k: (E; s) ↦ (kE; ks), which sends g, h and e to g^k, h^k and e."""
+    return NF(tuple(k * x for x in a.excluded), k * a.shift)
+
+
 def test_presentation_holds():
-    assert check_presentation(1)
-    assert check_presentation(50)
+    assert check_presentation() is True
 
 
 def test_checkers_refuse_negative_bounds():
-    with pytest.raises(ValueError):
+    """The checkers take no bound, since they settle every index at once."""
+    assert not inspect.signature(check_presentation).parameters
+    assert not inspect.signature(check_nc).parameters
+    with pytest.raises(TypeError):
         check_presentation(-5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         check_nc(-5)
-    assert check_presentation(0) and check_nc(0)
 
 
 def test_checkers_refuse_bounds_past_their_cost_limit():
-    with pytest.raises(ValueError, match="max_k must be at most 100000, got 100001"):
+    """A bound past what a sweep could afford is refused like any bound, and
+    the fixed checks, which cover it, take well under 5 ms together."""
+    with pytest.raises(TypeError):
         check_presentation(100_001)
-    with pytest.raises(ValueError, match="max_n must be at most 200, got 201"):
-        check_nc(201)
-    with pytest.raises(ValueError, match="at most 200"):
+    with pytest.raises(TypeError):
         check_nc(10 ** 12)
+    timings = []
+    for _ in range(5):
+        start = time.perf_counter()
+        assert check_presentation() and check_nc()
+        timings.append(time.perf_counter() - start)
+    assert min(timings) < 0.005, timings
+
+
+def test_scaling_is_a_morphism_that_substitutes_powers_for_letters():
+    """σ_k(a·b) = σ_k(a)·σ_k(b), σ_k is injective, and on the value of a word
+    it is the product of the word with g^k for g and h^k for h, for k up to
+    10^12: so σ_k sends the relations at exponent 1 to those at exponent k."""
+    rng = random.Random(41)
+    for k in [1, 2, 3, 7, 60, 10 ** 12] + [rng.randint(2, 10 ** 12) for _ in range(20)]:
+        letters = {"g": nf_power(SHIFT_UP, k), "h": nf_power(SHIFT_DOWN, k), "e": PUNCTURE}
+        for _ in range(50):
+            a, b = random_nf(rng), random_nf(rng)
+            assert _scale(nf_mul(a, b), k) == nf_mul(_scale(a, k), _scale(b, k)), (a, b, k)
+            assert (_scale(a, k) == _scale(b, k)) == (a == b)
+            word = "".join(rng.choice("ghe") for _ in range(rng.randint(0, 12)))
+            substituted = NF_IDENTITY
+            for letter in word:
+                substituted = nf_mul(substituted, letters[letter])
+            assert _scale(nf_of_word(word), k) == substituted, (word, k)
+
+
+def test_presentation_sides_match_words():
+    """Both sides of the relations at exponent k, each from its 4k+2-letter
+    word, are σ_k of the sides at exponent 1, and the word sweep up to 60
+    agrees with the fixed check."""
+    words = presentation_relations(60)
+    at_1 = [(nf_of_word(lhs), nf_of_word(rhs)) for lhs, rhs in words[6:8]]
+    for k in range(1, 61):
+        at_k = [(nf_of_word(lhs), nf_of_word(rhs)) for lhs, rhs in words[4 + 2 * k:6 + 2 * k]]
+        assert at_k == [(_scale(lhs, k), _scale(rhs, k)) for lhs, rhs in at_1], k
+    assert presentation_sweep(60) is check_presentation() is True
+
+
+def test_presentation_relations_shape():
+    assert len(presentation_relations(50)) == 6 + 2 * 50
+
+
+@pytest.mark.parametrize("left,holds", [(NF((0,), 1), "mirror"), (NF((0,), -1), "forward")])
+def test_check_presentation_reads_both_parametrised_relations(monkeypatch, left, holds):
+    """A product wrong only with e·g (or e·h) on the left breaks the relation
+    e·g·e·h = g·e·h·e (or its mirror e·h·e·g = h·e·g·e) and keeps the other."""
+    real = pmonoid.nf_mul
+    wrong = lambda a, b: NF._from_internal(a.excluded, a.shift + b.shift) if a == left else real(a, b)
+    monkeypatch.setattr(pmonoid, "nf_mul", wrong)
+    e, g, h = PUNCTURE, SHIFT_UP, SHIFT_DOWN
+    eg, eh, ge, he = wrong(e, g), wrong(e, h), wrong(g, e), wrong(h, e)
+    forward, mirror = wrong(eg, eh) == wrong(ge, he), wrong(eh, eg) == wrong(he, ge)
+    assert (forward, mirror) == ((False, True) if holds == "mirror" else (True, False))
+    assert check_presentation() is False
+
+
+def test_mutated_relation_fails():
+    assert nf_of_word("e") != nf_of_word("eg")
 
 
 def _up(k):
@@ -373,47 +437,64 @@ def _dn(k):
     [
         ("up-up", (_up(1), _up(2))),
         ("dn-dn", (_dn(2), _dn(1))),
-        ("up-dn", (_up(1), _dn(3))),
-        ("dn-up", (_dn(3), _up(1))),
-        ("e.up-up", (nf_mul(PUNCTURE, _up(3)), _up(2))),
-        ("e.up-dn", (nf_mul(PUNCTURE, _up(3)), _dn(1))),
+        ("up-dn", (_up(1), _dn(2))),
+        ("dn-up", (_dn(2), _up(1))),
+        ("e.up-up", (nf_mul(PUNCTURE, _up(2)), _up(1))),
+        ("e.up-dn", (nf_mul(PUNCTURE, _up(2)), _dn(1))),
     ],
 )
 def test_check_nc_sees_a_comparable_pair_in_each_family(monkeypatch, family, pair):
-    """One comparable pair, whichever family it lies in, breaks the
-    conditions; with no comparable pair they hold."""
-    assert check_nc(4)
-    monkeypatch.setattr(pmonoid, "_below", lambda e, f: (e, f) == pair)
-    assert check_nc(4) is False, family
+    """One comparable pair at the indices 1 and 2, whichever family it lies
+    in, breaks the conditions; with no comparable pair they hold."""
+    assert check_nc()
+    monkeypatch.setattr(pmonoid, "natural_leq", lambda e, f: (e, f) == pair)
+    assert check_nc() is False, family
 
 
-def test_presentation_sides_match_words():
-    # The word-built sweep is the oracle for the closed-form blocks.
-    for max_k in (0, 1, 60):
-        sides = list(_presentation_sides(max_k))
-        words = presentation_relations(max_k)
-        assert sides == [(nf_of_word(lhs), nf_of_word(rhs)) for lhs, rhs in words]
-        assert check_presentation(max_k) == all(lhs == rhs for lhs, rhs in sides)
+def _nc_conditions(k, n):
+    """Each antichain condition that names the indices k < n, from the
+    closed forms up(j) = ({-j}; 0), dn(j) = ({j}; 0), e·up(j) = ({-j, 0}; 0)."""
+    e = PUNCTURE
+    up, dn = {j: NF((-j,), 0) for j in (k, n)}, {j: NF((j,), 0) for j in (k, n)}
+    eup = {j: NF((-j, 0), 0) for j in (k, n)}
+    family = [up[k], up[n], dn[k], dn[n]]
+    return (
+        [nf_mul(e, x) == nf_mul(x, e) for x in family],
+        [is_idempotent(x) for x in family + [eup[k], eup[n]]],
+        [natural_leq(x, y) for x, y in itertools.permutations(family, 2)],
+        [natural_leq(eup[n], up[k])] + [natural_leq(eup[i], dn[j]) for i in (k, n) for j in (k, n)],
+    )
 
 
-def test_presentation_relations_shape():
-    assert len(presentation_relations(50)) == 6 + 2 * 50
-
-
-def test_mutated_relation_fails():
-    assert nf_of_word("e") != nf_of_word("eg")
+def test_each_antichain_condition_at_any_indices_matches_its_value_at_1_and_2():
+    rng = random.Random(29)
+    at_1_2 = _nc_conditions(1, 2)
+    assert at_1_2 == ([True] * 4, [True] * 6, [False] * 12, [False] * 5)
+    draws = [(1, 3), (2, 3), (5, 6), (10 ** 12 - 1, 10 ** 12)]
+    draws += [tuple(sorted(rng.sample(range(1, 10 ** 12 + 1), 2))) for _ in range(200)]
+    for k, n in draws:
+        assert _nc_conditions(k, n) == at_1_2, (k, n)
+    # The closed forms are the elements that words and products build.
+    for j in list(range(1, 31)) + [10 ** 6, 10 ** 12]:
+        gj, hj = nf_power(SHIFT_UP, j), nf_power(SHIFT_DOWN, j)
+        assert nf_mul(nf_mul(gj, PUNCTURE), hj) == NF((-j,), 0)
+        assert nf_mul(nf_mul(hj, PUNCTURE), gj) == NF((j,), 0)
+        assert nf_mul(PUNCTURE, NF((-j,), 0)) == NF((-j, 0), 0)
+        if j <= 30:
+            assert (_up(j), _dn(j)) == (NF((-j,), 0), NF((j,), 0))
 
 
 def test_nc_holds():
-    assert check_nc(50)
+    # The quadratic sweep over the indices up to 30 is the oracle.
+    assert check_nc() is nc_sweep(30) is True
 
 
 def test_checkers_fail_when_products_drop_punctures(monkeypatch):
-    """With a product that ignores b's punctures, e·g^k·e·h^k loses the
-    second puncture and e no longer commutes with g^k e h^k."""
+    """With a product that ignores b's punctures, e·g·e·h loses the second
+    puncture and e no longer commutes with g e h."""
     monkeypatch.setattr(pmonoid, "nf_mul", lambda a, b: NF._from_internal(a.excluded, a.shift + b.shift))
-    assert check_presentation(5) is False
-    assert check_nc(5) is False
+    assert check_presentation() is False
+    assert check_nc() is False
 
 
 @pytest.mark.parametrize(

@@ -71,9 +71,8 @@ def star_wrong_on_three_cycle(self):
         ("meet-left", {"meet": never_empty}, "42 failures in T_3"),
         ("meet-left", {"meet": never_empty, "verify_meet": lambda *args: True},
          "expected some empty intersections among total maps"),
-        ("presentation", {"check_presentation": lambda max_k: False},
-         "some defining relation fails for k <= 50"),
-        ("nc", {"check_nc": lambda max_n: False}, "some antichain condition fails for indices <= 50"),
+        ("presentation", {"check_presentation": lambda: False}, "some defining relation fails"),
+        ("nc", {"check_nc": lambda: False}, "some antichain condition fails"),
         ("nf-mul", {"nf_mul": lambda a, b: real_nf_mul(b, a)},
          "9534 of 10000 random pairs disagree with pointwise evaluation"),
         ("kappa", {"kappa": lambda S, s: verify.delta(S)}, "kappa mismatch at PartialMap([1,1,1]) in T_3"),
