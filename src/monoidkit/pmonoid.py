@@ -26,9 +26,14 @@ from .order import natural_leq
 
 
 class NF:
-    """Normal form: strictly increasing excluded integers plus a shift."""
+    """Normal form: strictly increasing excluded integers plus a shift.
 
-    __slots__ = ("excluded", "shift")
+    Its canonical text is written on first print and kept in `_text`, so an
+    element printed again, such as the puncture in every witness, or one
+    parsed from canonical text, prints from the slot.
+    """
+
+    __slots__ = ("excluded", "shift", "_text")
 
     def __init__(self, excluded, shift):
         if type(excluded) is not tuple or any(type(x) is not int for x in excluded) or type(shift) is not int:
@@ -37,20 +42,23 @@ class NF:
             raise ValueError(f"excluded set {excluded} must be strictly increasing")
         _set_excluded(self, excluded)
         _set_shift(self, shift)
+        _set_text(self, None)
 
     @classmethod
-    def _from_internal(cls, excluded, shift):
+    def _from_internal(cls, excluded, shift, text=None):
         """Build a normal form without the ordering check.
 
         The caller guarantees that `excluded` is a tuple of strictly
         increasing ints, as `tuple(sorted(some_set))` is, or a strictly
-        increasing tuple shifted by a constant; outside input goes through
+        increasing tuple shifted by a constant, and that `text`, if given,
+        is the canonical text of the pair; outside input goes through
         `NF(...)` instead.  The fields are stored through the slot
         descriptors, past the refusing `__setattr__`.
         """
         self = object.__new__(cls)
         _set_excluded(self, excluded)
         _set_shift(self, shift)
+        _set_text(self, text)
         return self
 
     def __setattr__(self, name, value):
@@ -70,7 +78,11 @@ class NF:
         return nf_mul(self, other)
 
     def __str__(self):
-        return "{%s};%+d" % (",".join(map(str, self.excluded)), self.shift)
+        text = self._text
+        if text is None:
+            text = "{%s};%+d" % (",".join(map(str, self.excluded)), self.shift)
+            _set_text(self, text)
+        return text
 
     def __repr__(self):
         return "NF({%s}, %+d)" % (",".join(map(str, self.excluded)), self.shift)
@@ -78,6 +90,7 @@ class NF:
 
 _set_excluded = NF.excluded.__set__
 _set_shift = NF.shift.__set__
+_set_text = NF._text.__set__
 
 NF_IDENTITY = NF((), 0)
 SHIFT_UP = NF((), 1)
@@ -240,26 +253,37 @@ class AnnihilatorVerdict(namedtuple("AnnihilatorVerdict", "member n side", defau
     __slots__ = ()
 
 
+def _moved_punctures(u: NF) -> set:
+    """C(u) = ({0} ∪ E) + s for u = (E; s): the punctures of e·u moved by
+    its shift."""
+    s = u.shift
+    c = {x + s for x in u.excluded}
+    c.add(s)
+    return c
+
+
+_NOT_A_MEMBER = AnnihilatorVerdict(False)
+
+
 def _annihilator_decision(u: NF, v: NF):
-    """(e·u, e·v, d, member) for the pair (u, v); see `in_annihilator`."""
-    eu = nf_mul(PUNCTURE, u)
-    ev = nf_mul(PUNCTURE, v)
-    d = ev.shift - eu.shift
-    moved = tuple([x - d for x in eu.excluded]) if d else eu.excluded
-    return eu, ev, d, ev.excluded == moved
+    """(C(u), d, member) for the pair (u, v); see `in_annihilator`."""
+    c = _moved_punctures(u)
+    return c, v.shift - u.shift, c == _moved_punctures(v)
 
 
 def in_annihilator(u: NF, v: NF) -> AnnihilatorVerdict:
     """Decide whether g^n·e·u == e·v or h^n·e·u == e·v for some n >= 0.
 
-    With d the shift of e·v less that of e·u, the shift by d is the only
-    candidate, and it sends e·u to ({x - d : x punctured in e·u}, e·v's
-    shift), so comparing the punctures settles membership: n = |d|, on the
-    g side when d > 0 and the h side when d < 0.
+    The pair is in the relation exactly when C(u) = C(v), where
+    C(u) = ({0} ∪ E_u) + s_u for u = (E_u; s_u): e·u is ({0} ∪ E_u; s_u),
+    and with d = s_v - s_u the shift by d is the only candidate; it sends
+    e·u to (({0} ∪ E_u) - d; s_v), which is e·v exactly when the two C sets
+    agree.  Then n = |d|, on the g side when d > 0 and the h side when
+    d < 0.  No product is made.
     """
-    _, _, d, member = _annihilator_decision(u, v)
+    _, d, member = _annihilator_decision(u, v)
     if not member:
-        return AnnihilatorVerdict(False)
+        return _NOT_A_MEMBER
     return AnnihilatorVerdict(True, abs(d), "g" if d > 0 else "h" if d < 0 else None)
 
 
@@ -268,23 +292,26 @@ def annihilator_witness(u: NF, v: NF) -> YSequence:
 
     For exponent n > 0 this is the three-step chain through (1,e) and the
     side's pair (g^n e, h^n e g^n) or (h^n e, g^n e h^n), with multipliers
-    v, e·u, u; exponent 0 degenerates to one or two steps.  The decision and
-    the steps share the products e·u and e·v.  The chain is built from the
+    v, e·u, u; e·u is built once from C(u), with no product.  Exponent 0
+    degenerates to one step when 0 is punctured in v (then v = e·u) or in u
+    (then u = e·v), and to two otherwise.  The chain is built from the
     closed form and returned unvalidated: `validate(nf_mul)` checks it, as
     the `ann-decision` suite does.
     """
-    eu, ev, d, member = _annihilator_decision(u, v)
+    c, d, member = _annihilator_decision(u, v)
     if not member:
         raise ValueError("pair is not in the annihilator relation")
     e, one = PUNCTURE, NF_IDENTITY
     if d == 0:
-        if v == eu:
+        if 0 in v.excluded:
             steps = ((e, one, u),)
-        elif u == ev:
+        elif 0 in u.excluded:
             steps = ((one, e, v),)
         else:
             steps = ((one, e, v), (e, one, u))
     else:
+        s = u.shift
+        eu = NF._from_internal(tuple([x - s for x in sorted(c)]), s)
         steps = ((one, e, v), (*_y_pair(d), eu), (e, one, u))
     return YSequence(v, u, steps)
 

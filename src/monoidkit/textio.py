@@ -10,33 +10,37 @@ Grammars (sizes are inferred from the content):
 Each element's `str` is its canonical text (`format_element` is `str`);
 parsing that text returns an equal element, whose `str` is the same text.
 
-Digits are ASCII 0-9 only.  Maps and partitions go by per-size tables,
-which also print them (`elements.map_item_table`, `elements.point_table`):
-a map's text is split on commas, a partition's, inside its outer braces,
-on `}{` and then on single spaces, and each item is looked up in the
-inverse table for n points, n being the item count for a map and half of
-it, rounded down, for a partition.  A partition's items label each point
-with its block number, and one scan of the labels in point order
-(`elements.blocks_by_label`) gives the canonical blocks without a sort; a
-point named twice is passed on like an item the table does not hold, and
-so is every text of 2n+1 items, which must name some point twice.  Normal
-forms go by a whole-text pattern, read with `str.split` and `int`, then
-checked for repeats.  Any other text (an item with spaces or a leading
-zero, a point out of range or named twice, a numeral too long for `int`)
-goes to the item-by-item reader (`_read_partial_map`, `_read_partition`,
-`_read_nf`), which alone reports errors in these grammars.  The map and
-normal-form readers share one bracketed-list reader (`_read_list`), and
-the map and partition readers one point-label check (`_label`).  Text
-outside a grammar raises `ParseError`, whose position lies in
-0..len(text); the CLI prints it as `parse error: position P: reason` and
-exits with status 2.  Every path runs in time linear in the text: a table
-lookup reads each item once, and the pattern cannot backtrack into a
-digit run it has already read.
+Digits are ASCII 0-9 only.  Each of the three grammars takes a fast path
+for canonical text and hands everything else to its item-by-item reader
+(`_read_partial_map`, `_read_partition`, `_read_nf`), which alone reports
+errors.  Maps and partitions go by per-size tables, which also print them
+(`elements.map_item_table`, `elements.point_table`): a map's text is split
+on commas, a partition's, inside its outer braces, on `}{` and then on
+single spaces, and each item is looked up in the inverse table for n
+points, n being the item count for a map and half of it, rounded down, for
+a partition.  A partition's items label each point with its block number,
+and one scan of the labels in point order (`elements.blocks_by_label`)
+gives the canonical blocks without a sort; a point named twice is passed
+on like an item the table does not hold, and so is every text of 2n+1
+items, which must name some point twice.  A normal form's text goes by a
+pattern that admits only what `str` prints (no spaces, `+` item, leading
+zero or `-0`), read with `str.split` and `int`; if its items ascend
+strictly, the element keeps the text as its own and never prints it again.
+Any other text (an item with spaces or a leading zero, a point out of
+range or named twice, an unsorted list, a numeral too long for `int`)
+goes to the reader.  The map and normal-form readers share one
+bracketed-list reader (`_read_list`), and the map and partition readers
+one point-label check (`_label`).  Text outside a grammar raises
+`ParseError`, whose position lies in 0..len(text); the CLI prints it as
+`parse error: position P: reason` and exits with status 2.  Every path
+runs in time linear in the text: a table lookup reads each item once, and
+the pattern cannot backtrack into a digit run it has already read.
 """
 
 from __future__ import annotations
 
 import re
+from operator import lt
 
 from .elements import PartialMap, Partition, blocks_by_label, is_kind, map_item_table, point_table
 from .pmonoid import NF, nf_of_word
@@ -59,8 +63,10 @@ _SHIFT = re.compile(r"[+-]?([0-9]*)")
 _IMAGE = re.compile(r" *(?:(_)|([0-9]*)) *")
 _POINT = re.compile(r" *([0-9]*)(')? *")
 
-_NF_ITEM = r" *[+-]?[0-9]+ *"
-_NF_TEXT = re.compile(rf"\{{(?: *|{_NF_ITEM}(?:,{_NF_ITEM})*)\}};[+-]?[0-9]+")
+# Canonical normal-form text only: items as `%d` prints them, the shift as
+# `%+d` does; no spaces, no `+` item, no leading zero and no `-0`.
+_NF_ITEM = r"(?:0|-?[1-9][0-9]*)"
+_NF_CANONICAL = re.compile(rf"\{{(?:{_NF_ITEM}(?:,{_NF_ITEM})*)?\}};(?:\+0|[+-][1-9][0-9]*)")
 
 
 def _int(numeral, at):
@@ -189,15 +195,16 @@ def _read_partition(text: str) -> Partition:
 
 
 def parse_nf(text: str) -> NF:
-    if _NF_TEXT.fullmatch(text):
+    if _NF_CANONICAL.fullmatch(text):
         inner, shift = text[1:].split("};")
-        items = inner.split(",") if inner.strip() else ()
         try:
-            excluded, shift = set(map(int, items)), int(shift)
+            excluded = tuple(map(int, inner.split(","))) if inner else ()
+            shift = int(shift)
         except ValueError:  # a numeral past int()'s digit limit
             return _read_nf(text)
-        if len(excluded) == len(items):
-            return NF._from_internal(tuple(sorted(excluded)), shift)
+        if all(map(lt, excluded, excluded[1:])):
+            # Canonical items in ascending order: the text is the element's own.
+            return NF._from_internal(excluded, shift, text)
     return _read_nf(text)
 
 

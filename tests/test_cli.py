@@ -287,6 +287,28 @@ def test_pmonoid_ann_twelve_digit_shift(capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "u,v",
+    [("{ +5, -3 };2", "{-5,-08};+07"), ("{5,-3};+2", "{-5,-8};+7"), ("{-03,+5};+2", "{ -8,-5 };7")],
+    ids=["spaces-signs-zeros", "unsorted", "signs-and-spaces"],
+)
+def test_pmonoid_ann_respelled_pair_prints_the_canonical_lines(capsys, u, v):
+    """A pair given in canonical text, which the parser keeps as each
+    element's text, and the same pair respelled, which goes to the item
+    reader, print the same lines."""
+    canonical = run(capsys, "pmonoid", "ann", "--nf", "{-3,5};+2", "{-8,-5};+7")
+    assert canonical == (
+        0,
+        "yes n=5 side=g\n"
+        "witness\t3 steps\n"
+        "{};+0\t{0};+0\t{-8,-5};+7\n"
+        "{-5};+5\t{5};+0\t{-3,0,5};+2\n"
+        "{0};+0\t{};+0\t{-3,5};+2\n",
+        "",
+    )
+    assert run(capsys, "pmonoid", "ann", "--nf", u, v) == canonical
+
+
 def test_pmonoid_relations_negative_bound(capsys):
     _refused_bound(capsys, "pmonoid", "relations", "--max-k", "-5")
 

@@ -32,6 +32,7 @@ from monoidkit.pmonoid import (
     y_class,
     y_n,
 )
+import annihilator_oracle
 from sweep_oracle import nc_sweep, presentation_relations, presentation_sweep
 
 
@@ -926,58 +927,10 @@ def test_chain_argument_validation():
         chain_search(3, max_length=-1)
 
 
-def _in_annihilator_before(u, v):
-    """in_annihilator as it was before the shared decision helper."""
-    eu = nf_mul(PUNCTURE, u)
-    ev = nf_mul(PUNCTURE, v)
-    d = ev.shift - eu.shift
-    if ev.excluded != tuple(x - d for x in eu.excluded):
-        return AnnihilatorVerdict(False)
-    return AnnihilatorVerdict(True, abs(d), "g" if d > 0 else "h" if d < 0 else None)
-
-
-def _annihilator_witness_before(u, v):
-    """annihilator_witness as it was before the shared decision helper: the
-    decision first, then e·u and e·v once more."""
-    verdict = _in_annihilator_before(u, v)
-    if not verdict.member:
-        raise ValueError("pair is not in the annihilator relation")
-    e, one = PUNCTURE, NF_IDENTITY
-    eu = nf_mul(e, u)
-    ev = nf_mul(e, v)
-    if verdict.n == 0:
-        if v == eu:
-            steps = ((e, one, u),)
-        elif u == ev:
-            steps = ((one, e, v),)
-        else:
-            steps = ((one, e, v), (e, one, u))
-    else:
-        steps = ((one, e, v), (*_y_pair(ev.shift - eu.shift), eu), (e, one, u))
-    return YSequence(v, u, steps)
-
-
-def test_shared_decision_matches_separate_decision():
-    rng = random.Random(29)
-    pairs = _accepted_pairs(rng, 1000, 10) + [(random_nf(rng), random_nf(rng)) for _ in range(1000)]
-    members = 0
-    for u, v in pairs:
-        verdict = in_annihilator(u, v)
-        assert verdict == _in_annihilator_before(u, v), (u, v)
-        if not verdict.member:
-            with pytest.raises(ValueError):
-                annihilator_witness(u, v)
-            continue
-        members += 1
-        got, want = annihilator_witness(u, v), _annihilator_witness_before(u, v)
-        assert (got.start, got.end, got.steps) == (want.start, want.end, want.steps), (u, v)
-    assert 1000 <= members < 1100
-
-
 def test_witness_makes_each_product_once(monkeypatch):
-    """e·u and e·v serve both the decision and the middle step, and the
-    chain is returned unvalidated, so a witness for n > 0 costs those 2
-    products alone."""
+    """The decision and the witness are read off C(u) and C(v), and the
+    chain is returned unvalidated, so neither makes a product: e·u, the
+    witness's middle multiplier, is built from C(u)."""
     calls = []
 
     def counting_mul(a, b):
@@ -990,11 +943,57 @@ def test_witness_makes_each_product_once(monkeypatch):
     for u, v in _accepted_pairs(rng, 300, 10):
         calls.clear()
         verdict = in_annihilator(u, v)
-        assert len(calls) == 2
+        assert len(calls) == 0
         if verdict.n == 0:
             continue
-        calls.clear()
         annihilator_witness(u, v)
-        assert len(calls) <= 2, len(calls)
+        assert len(calls) == 0, len(calls)
         checked += 1
     assert checked > 100
+
+
+def _near_pairs(rng, count, max_coord):
+    """Accepted pairs and pairs one edit away from them: a puncture of v
+    added or dropped, v's shift moved by one, or 0 toggled in u."""
+    pairs = []
+    for u, v in _accepted_pairs(rng, count, max_coord):
+        pairs.append((u, v))
+        edit = rng.randrange(4)
+        if edit == 0:
+            extra = rng.randint(-max_coord, max_coord)
+            v = NF(tuple(sorted({*v.excluded, extra})), v.shift)
+        elif edit == 1 and v.excluded:
+            dropped = rng.choice(v.excluded)
+            v = NF(tuple([x for x in v.excluded if x != dropped]), v.shift)
+        elif edit == 2:
+            v = NF(v.excluded, v.shift + rng.choice((-1, 1)))
+        else:
+            u = NF(tuple(sorted({*u.excluded} ^ {0})), u.shift)
+        pairs.append((u, v))
+    return pairs
+
+
+def test_decision_from_c_matches_the_product_oracle():
+    """On 20,000 seeded pairs, exponents up to 10^12, the decision from C
+    gives the product oracle's member, n and side, and the witness its
+    steps; accepted pairs with n = 0 take each of the three step shapes."""
+    rng = random.Random(33)
+    pairs = []
+    for max_coord in (3, 10, 1000, 10 ** 12):
+        pairs += _near_pairs(rng, 2000, max_coord)
+        pairs += [(random_nf(rng, 4, max_coord), random_nf(rng, 4, max_coord)) for _ in range(1000)]
+    assert len(pairs) >= 20000
+    seen = set()
+    for u, v in pairs:
+        verdict = in_annihilator(u, v)
+        assert tuple(verdict) == tuple(annihilator_oracle.in_annihilator(u, v)), (u, v)
+        if not verdict.member:
+            with pytest.raises(ValueError):
+                annihilator_witness(u, v)
+            seen.add("no")
+            continue
+        got, want = annihilator_witness(u, v), annihilator_oracle.annihilator_witness(u, v)
+        assert (got.start, got.end, got.steps) == (want.start, want.end, want.steps), (u, v)
+        seen.add((verdict.side, len(got), got.steps[0][0] == PUNCTURE, verdict.n > 10 ** 6))
+    assert seen == {"no", (None, 1, True, False), (None, 1, False, False), (None, 2, False, False),
+                    ("g", 3, False, False), ("h", 3, False, False), ("g", 3, False, True), ("h", 3, False, True)}, seen

@@ -10,7 +10,7 @@ import scanner_oracle
 from canonical_oracle import canonical
 
 from monoidkit.elements import PartialMap, Partition, enumerate_elements, is_kind, map_item_table, point_table
-from monoidkit.pmonoid import NF
+from monoidkit.pmonoid import NF, annihilator_witness, nf_inverse, nf_mul, nf_of_word, nf_power, y_class
 from monoidkit import textio
 from monoidkit.textio import (
     ParseError,
@@ -202,10 +202,15 @@ MAP_TEXT = re.compile(rf"\[(?: *|{_MAP_ITEM}(?:,{_MAP_ITEM})*)\]")
 # The same for a partition text as blocks of points, each a digit run that
 # does not end before a digit, with an optional prime and spaces around it.
 PARTITION_TEXT = re.compile(r"(?:\{ *(?:[0-9]+(?![0-9])'? *)+\})+")
+# The same for a normal-form text as a list of signed digit runs with spaces
+# around each, then a signed shift: `parse_nf`'s own pattern takes canonical
+# text alone.
+_NF_ITEM = r" *[+-]?[0-9]+ *"
+NF_TEXT = re.compile(rf"\{{(?: *|{_NF_ITEM}(?:,{_NF_ITEM})*)\}};[+-]?[0-9]+")
 WHOLE_TEXT = {
     "parse_partial_map": MAP_TEXT,
     "parse_partition": PARTITION_TEXT,
-    "parse_nf": textio._NF_TEXT,
+    "parse_nf": NF_TEXT,
 }
 
 
@@ -282,6 +287,11 @@ def test_whole_text_path_matches_item_reader():
         ("parse_partition", "{}", ("parse error", "expected a digit", 1)),
         ("parse_partial_map", "[ ]", ("ok", PartialMap([]))),
         ("parse_nf", "{ };+0", ("ok", NF((), 0))),
+        ("parse_nf", "{-1,-2};2", ("ok", NF((-2, -1), 2))),
+        ("parse_nf", "{0,+3};5", ("ok", NF((0, 3), 5))),
+        ("parse_nf", "{-0};+1", ("ok", NF((0,), 1))),
+        ("parse_nf", "{};-0", ("ok", NF((), 0))),
+        ("parse_nf", "{01};+1", ("ok", NF((1,), 1))),
         ("parse_partial_map", f"[{LONG}]", None),
         ("parse_partition", f"{{1 1'}}{{{LONG}'}}", None),
         ("parse_nf", f"{{-{LONG}}};+0", None),
@@ -290,6 +300,7 @@ def test_whole_text_path_matches_item_reader():
     ],
     ids=["repeat-with-leading-zero", "prime-before-digit", "odd-count-repeat", "repeat-across-blocks",
          "odd-count-new-point", "double-space", "leading-zero", "empty-block", "blank-map", "blank-nf",
+         "nf-descending", "nf-plus-item", "nf-minus-zero-item", "nf-minus-zero-shift", "nf-leading-zero",
          "long-image", "long-point", "long-excluded", "long-shift", "long-zero-run"],
 )
 def test_whole_text_path_named_cases(name, text, outcome):
@@ -303,6 +314,8 @@ def test_whole_text_path_named_cases(name, text, outcome):
     assert got == _outcome(READERS[name], text)
     if outcome is not None:
         assert got == outcome
+    if got[0] == "ok" and name == "parse_nf":
+        assert str(got[1]) == _nf_fields_text(got[1])
 
 
 @pytest.mark.parametrize(
@@ -549,6 +562,69 @@ def test_parsed_canonical_texts_keep_their_blocks():
     for n in range(4):
         for x in enumerate_elements("P", n):
             assert parse_partition(str(x)).blocks == x.blocks
+
+
+def _nf_fields_text(nf):
+    return "{%s};%+d" % (",".join(map(str, nf.excluded)), nf.shift)
+
+
+NF_RESPELLED = ("{-1,-2};2", "{0,+3};5", "{-0};+1", "{};-0", "{ };+0", "{01};+1", "{+3};+0", "{3};+03")
+
+
+def test_every_nf_prints_its_own_fields():
+    """Whatever built it, a normal form prints exactly `{%s};%+d` of its
+    fields, on its first print and from the kept text after: parsed from
+    fuzzed, grammar and respelled texts, read item by item, constructed,
+    multiplied, powered, inverted, evaluated from a word, listed in a
+    ρ_{Y_k}-class and met in an annihilator witness."""
+    rng = random.Random(59)
+    made = []
+    for text in itertools.chain(_fuzz_texts(rng, 10000), _grammar_texts(rng, 20000), NF_RESPELLED):
+        for parse in (parse_nf, textio._read_nf):
+            outcome = _outcome(parse, text)
+            if outcome[0] == "ok":
+                made.append(outcome[1])
+    parsed = len(made)
+    for _ in range(300):
+        a = NF(tuple(sorted(rng.sample(range(-20, 21), rng.randint(0, 4)))), rng.randint(-20, 20))
+        b = nf_of_word("".join(rng.choice("ghe") for _ in range(rng.randint(0, 12))))
+        made += [a, b, nf_mul(a, b), nf_mul(b, a), nf_power(a, rng.randint(0, 5)), nf_inverse(a)]
+        made += y_class(a, rng.randint(1, 5))
+        v = y_class(a, 40)[-1]
+        for step in annihilator_witness(a, v).steps:
+            made += step
+    assert parsed > 5000 and len(made) > parsed + 4000
+    for nf in made:
+        want = _nf_fields_text(nf)
+        assert str(nf) == want and str(nf) == want, (repr(nf), str(nf))
+
+
+def test_nf_text_slot_refused_from_outside():
+    nf = parse_nf("{-2,-1};+2")
+    for name in ("_text", "excluded", "shift"):
+        with pytest.raises(AttributeError):
+            setattr(nf, name, "{};+0")
+    assert str(nf) == "{-2,-1};+2"
+
+
+def test_canonical_nf_texts_take_the_fast_path(monkeypatch):
+    """A canonical text parses without the item reader, to an element that
+    keeps the text itself; respelled with signed items in reverse and an
+    unsigned shift, it parses to the same element, which prints
+    canonically."""
+    rng = random.Random(61)
+    elements = [NF(tuple(sorted(rng.sample(range(-12, 13), k))), s)
+                for k in range(5) for s in range(-12, 13) for _ in range(4)]
+    elements += [NF((-10 ** 12, 0, 10 ** 12), 10 ** 12), NF((), -10 ** 12)]
+    respelled = {nf: "{%s};%d" % (",".join(f"{x:+d}" for x in reversed(nf.excluded)), nf.shift) for nf in elements}
+    monkeypatch.setattr(textio, "_read_nf", _took_the_item_reader)
+    for nf in elements:
+        text = _nf_fields_text(nf)
+        got = parse_nf(text)
+        assert got == nf and str(got) is text
+    monkeypatch.undo()
+    for nf, text in respelled.items():
+        assert parse_nf(text) == nf and str(parse_nf(text)) == _nf_fields_text(nf)
 
 
 def test_canonical_text_is_fixed_point():

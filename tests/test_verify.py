@@ -180,13 +180,15 @@ def _counting(monkeypatch, owners, name):
 
 def test_ann_decision_and_star_product_counts(monkeypatch):
     """Counted at seed 0, so independent of the host's speed: `ann-decision`
-    confirms its rejections without `nf_mul`, and `star` computes each star
+    confirms its rejections without `nf_mul` and decides each pair from its
+    C sets, so its 10,000 products are the accepted pairs' construction and
+    validation and one e·u, e·v per rejection; `star` computes each star
     once per carrier."""
     nf_calls = _counting(monkeypatch, [pmonoid, verify], "nf_mul")
     products = _counting(monkeypatch, [Partition], "__mul__")
     stars = _counting(monkeypatch, [Partition], "star")
     assert verify.run_suite("ann-decision").ok
-    assert 0 < nf_calls[0] <= 17_000
+    assert 0 < nf_calls[0] <= 10_200
     assert verify.run_suite("star").ok
     assert 0 < products[0] <= 3_000 and 0 < stars[0] <= 2_000
 
