@@ -426,24 +426,15 @@ def annihilator(S: FiniteMonoid, rho: RightCongruence, a) -> RightCongruence:
 def kappa(S: FiniteMonoid, s) -> RightCongruence:
     """Elements u, v are related iff some powers of s satisfy s^m u == s^n v.
 
-    It generates the same equivalence as u ~ s*u, so the classes link each u
-    to s*u along the row of s.  The power orbits {s^k u} then check that the
-    classes are transitively exact: the result is the definitional pair set,
-    not merely its closure.
+    The classes link each u to s*u along the row of s, and that is the whole
+    relation.  Write σ(u) = s*u: the power orbit of u is u, σ(u), σ²(u), …,
+    and S is finite, so it runs into a cycle.  If σ^m(u) = σ^n(v) then
+    σ^(m+j)(u) = σ^(n+j)(v) for every j, so orbits that meet end in the same
+    cycle; orbits that end in one cycle meet on it.  So u ~ v means "same
+    end cycle", an equivalence, and it is the one u ~ σ(u) generates: u is
+    linked to its cycle along its orbit, and a cycle is linked round itself.
     """
-    i_s = S.index_of(s)
-    power_rows = {}
-    cur = 0
-    while cur not in power_rows:
-        row = power_rows[cur] = S.row(cur)
-        cur = row[i_s]
-    orbits = list(map(frozenset, zip(*power_rows.values())))
-    labels = min_root_join(len(S), enumerate(S.row(i_s)))
-    for cls in _classes(labels):
-        for u in cls:
-            for v in cls:
-                assert orbits[u] & orbits[v], "power-orbit relation not transitive"
-    return RightCongruence(S, labels)
+    return RightCongruence(S, min_root_join(len(S), enumerate(S.row(S.index_of(s)))))
 
 
 def subact_generators(S: FiniteMonoid, subset):

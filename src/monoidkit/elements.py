@@ -96,8 +96,10 @@ class PartialMap:
         _set_images(self, images)
         return self
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("PartialMap is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def identity(cls, n):
@@ -190,8 +192,10 @@ class Partition:
         _set_partition_n(self, n)
         _set_blocks(self, self._canonical(n, internal))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("Partition is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def _canonical(n, internal_blocks):

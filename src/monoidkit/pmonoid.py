@@ -17,7 +17,6 @@ in closed form, which decide each link of the strict chain
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import namedtuple
 
 from .congruence import YSequence
@@ -61,8 +60,10 @@ class NF:
         _set_text(self, text)
         return self
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("NF is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -102,36 +103,18 @@ def nf_mul(a: NF, b: NF) -> NF:
     """Compose left to right: x is mapped iff x avoids a's punctures and
     x + a.shift avoids b's punctures.
 
-    The excluded set is a's punctures together with b's shifted by
-    -a.shift; each path below returns it strictly increasing.
-    - a is the identity: the product is b itself.
-    - b has no punctures: a's tuple, and a itself when b is the identity.
-    - a has no punctures: b's tuple minus a constant keeps its order.
-    - a has one puncture x: x + a.shift joins b's tuple at its `bisect`
-      index unless it is there already, which keeps b's order with no
-      repeat; the whole is then shifted by -a.shift.
-    - a has more punctures: the union is sorted.
+    The excluded set is E_a ∪ (E_b - s_a), sorted once.  A product with
+    the identity is the other factor itself.
     """
     excluded, s = a.excluded, a.shift
     if not excluded and not s:
         return b
     theirs, t = b.excluded, b.shift
-    if not theirs:
-        if not t:
-            return a
-    elif not excluded:
-        excluded = tuple([x - s for x in theirs])
-    elif len(excluded) == 1:
-        x = excluded[0] + s
-        i = bisect_left(theirs, x)
-        if i == len(theirs) or theirs[i] != x:
-            theirs = theirs[:i] + (x,) + theirs[i:]
-        excluded = tuple([y - s for y in theirs]) if s else theirs
-    else:
-        merged = set(excluded)
-        merged.update([x - s for x in theirs])
-        excluded = tuple(sorted(merged))
-    return NF._from_internal(excluded, s + t)
+    if not theirs and not t:
+        return a
+    merged = set(excluded)
+    merged.update([x - s for x in theirs])
+    return NF._from_internal(tuple(sorted(merged)), s + t)
 
 
 def nf_power(a: NF, k: int) -> NF:

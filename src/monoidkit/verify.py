@@ -276,8 +276,6 @@ def suite_ann_decision(seed: int = 0):
             return False, f"witness fails for ({u!r}, {v!r})"
         if len(witness) != 3 or not witness.uses_only(level(verdict.n)):
             return False, f"witness not a 3-step chain over Y_{verdict.n}"
-    powers = [(f"{side}^{k}", nf_power(x, k)) for k in range(16)
-              for side, x in (("g", SHIFT_UP), ("h", SHIFT_DOWN))]
     rejected = 0
     while rejected < count:
         u = _random_nf(rng, 3, 10)
@@ -285,14 +283,13 @@ def suite_ann_decision(seed: int = 0):
         if in_annihilator(u, v).member:
             continue
         rejected += 1
+        # `_is_product` refuses every x whose shift is not diff, so no power
+        # of g or h but the candidate could map e·u to e·v.
         eu, ev = nf_mul(PUNCTURE, u), nf_mul(PUNCTURE, v)
         diff = ev.shift - eu.shift
         candidate = nf_power(SHIFT_UP if diff >= 0 else SHIFT_DOWN, abs(diff))
         if _is_product(candidate, eu, ev):
             return False, f"rejected pair actually satisfies its candidate: ({u!r}, {v!r})"
-        for label, x in powers:
-            if _is_product(x, eu, ev):
-                return False, f"rejected pair reachable with {label}: ({u!r}, {v!r})"
     return True, f"{count} accepted pairs carry validating 3-step witnesses; {count} rejections confirmed"
 
 

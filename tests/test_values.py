@@ -7,7 +7,7 @@ each compares equal to the plain tuple of its fields."""
 import pytest
 
 from monoidkit.congruence import YSequence
-from monoidkit.elements import PartialMap
+from monoidkit.elements import PartialMap, Partition
 from monoidkit.ideals import MeetResult
 from monoidkit.order import OrderVerdict
 from monoidkit.pmonoid import (
@@ -31,6 +31,18 @@ def test_nf_is_immutable():
         with pytest.raises(AttributeError):
             setattr(nf, name, ())
     assert nf.excluded == (1, 4) and nf.shift == -2
+
+
+@pytest.mark.parametrize(
+    "value", [NF((1, 4), -2), NF_IDENTITY, PartialMap((2, None, 2)), Partition(2, [[1, -2], [2], [-1]])], ids=repr
+)
+def test_fields_cannot_be_deleted(value):
+    """`del` is refused like assignment, so the value still hashes and prints."""
+    before = (hash(value), str(value), repr(value))
+    for field in (*type(value).__slots__, "other"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, field)
+    assert (hash(value), str(value), repr(value)) == before
 
 
 def test_nf_equals_only_an_nf():

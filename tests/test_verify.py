@@ -126,21 +126,25 @@ def test_swapped_operands_break_most_nf_mul_pairs(monkeypatch, seed):
     assert int(bad) > 9000
 
 
-def _confirmed_by_products(u, v):
-    """The rejection half's confirmation through `nf_mul`, exponent by
-    exponent: whether x·e·u = e·v for the candidate shift and for each of
-    g^0, h^0, ..., g^15, h^15, with the product e·u multiplied out."""
+def _candidate_call(u, v):
+    """The one referee call a rejected pair needs: the candidate shift by
+    d = shift(e·v) - shift(e·u), with e·u and e·v multiplied out."""
     eu, ev = nf_mul(PUNCTURE, u), nf_mul(PUNCTURE, v)
-    diff = ev.shift - eu.shift
-    powers = [NF((), diff)] + [NF((), sign * k) for k in range(16) for sign in (1, -1)]
-    return [(x, eu, ev) for x in powers], [nf_mul(x, eu) == ev for x in powers]
+    return NF((), ev.shift - eu.shift), eu, ev
+
+
+def _scan_reaches(eu, ev):
+    """The old rejection scan as an oracle: whether any of the candidate's
+    powers g^0, h^0, ..., g^15, h^15 maps e·u to e·v, by `nf_mul`."""
+    powers = [NF((), sign * k) for k in range(16) for sign in (1, -1)]
+    return any(nf_mul(x, eu) == ev for x in powers)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 424242])
 def test_pointwise_rejections_agree_with_products(monkeypatch, seed):
-    """Each rejected pair of `ann-decision` asks the pointwise referee about
-    the candidate and g^0..g^15, h^0..h^15 in turn, and each answer is the one
-    multiplying out x·e·u gives."""
+    """Each rejected pair of `ann-decision` asks the pointwise referee once,
+    about its candidate; that answer is the one multiplying out x·e·u gives,
+    and no power of g or h up to 15 reaches e·v either."""
     rejected, asked = [], []
 
     def in_annihilator(u, v):
@@ -157,12 +161,13 @@ def test_pointwise_rejections_agree_with_products(monkeypatch, seed):
     monkeypatch.setattr(verify, "in_annihilator", in_annihilator)
     monkeypatch.setattr(verify, "_is_product", is_product)
     assert verify.run_suite("ann-decision", seed=seed).ok
-    assert len(rejected) == 1000 and len(asked) == 33 * 1000
-    for i, (u, v) in enumerate(rejected):
-        calls, by_products = _confirmed_by_products(u, v)
-        assert asked[33 * i:33 * (i + 1)] == calls, (u, v)
-        assert [real_is_product(*call) for call in calls] == by_products, (u, v)
-        assert all(real_is_product(x, eu, nf_mul(x, eu)) for x, eu, _ in calls), (u, v)
+    assert len(rejected) == 1000 and len(asked) == 1000
+    for (u, v), call in zip(rejected, asked):
+        x, eu, ev = _candidate_call(u, v)
+        assert call == (x, eu, ev), (u, v)
+        assert not real_is_product(*call) and nf_mul(x, eu) != ev, (u, v)
+        assert real_is_product(x, eu, nf_mul(x, eu)), (u, v)
+        assert not _scan_reaches(eu, ev), (u, v)
 
 
 def _counting(monkeypatch, owners, name):
