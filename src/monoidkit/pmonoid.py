@@ -17,6 +17,7 @@ in closed form, which decide each link of the strict chain
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import namedtuple
 
 from .congruence import YSequence
@@ -133,25 +134,65 @@ def nf_inverse(a: NF) -> NF:
     return NF._from_internal(tuple(x + a.shift for x in a.excluded), -a.shift)
 
 
+# A letter's step of minus the running shift plus one (g 0, h 2, e 1), so
+# that two of them add in one byte; a sum of two steps back to a signed
+# byte (0..4 to -2..2); and whether a letter is e.
+_STEP_UP = bytes.maketrans(b"ghe", b"\x00\x02\x01")
+_PAIR_STEP = bytes.maketrans(bytes(range(5)), b"\xfe\xff\x00\x01\x02")
+_IS_E = bytes.maketrans(b"ghe", b"\x00\x00\x01")
+
+
+def _bad_letter(word):
+    """The position and symbol of the first letter of `word` outside g, h
+    and e, or None; a non-str is refused.  Only a word that fails one
+    `bytes.translate` check is scanned letter by letter, for the position."""
+    if not isinstance(word, str):
+        raise ValueError(f"a word is a str, not {type(word).__name__}")
+    if word.isascii() and not word.encode("ascii").translate(None, b"ghe"):
+        return None
+    return next((pos, ch) for pos, ch in enumerate(word) if ch not in "ghe")
+
+
+def _add_bytes(x: bytes, y: bytes, size: int) -> bytes:
+    """The bytewise sums of x and y, whose bytes add without a carry, by
+    one big-int addition."""
+    return (int.from_bytes(x, "little") + int.from_bytes(y, "little")).to_bytes(size, "little")
+
+
+def _nf_of_letters(letters: bytes) -> NF:
+    """Evaluate the ASCII letters of a checked word, in a fixed number of
+    C-level passes with no Python loop over the letters.
+
+    The running sum of the steps g -1, h +1, e 0 is minus the running
+    shift, and its values at the e's are the excluded set.  An e does not
+    move that sum, so an e at letter 2j or 2j+1 punctures its value after
+    letter 2j.  Those values are the running sums of the steps of letters
+    2j-1 and 2j taken together, with a step 0 put before the word:
+    `itertools.accumulate` forms them over half as many signed bytes, and
+    `itertools.compress` keeps the pairs 2j, 2j+1 that hold an e.
+    """
+    half = (len(letters) + 1) // 2
+    steps = b"\x01" + letters.translate(_STEP_UP)
+    pair_steps = _add_bytes(steps[: 2 * half : 2], steps[1 : 2 * half : 2], half).translate(_PAIR_STEP)
+    is_e = letters.translate(_IS_E)
+    walk = itertools.accumulate(array("b", pair_steps))
+    excluded = set(itertools.compress(walk, _add_bytes(is_e[::2], is_e[1::2], half)))
+    return NF._from_internal(tuple(sorted(excluded)), letters.count(b"g") - letters.count(b"h"))
+
+
 def nf_of_word(word: str) -> NF:
     """Evaluate a word over {g, h, e}; the empty word is the identity.
 
     Multiplying by g or h moves the running shift, and multiplying by e
-    punctures the point the running shift sends to 0, so one pass collects
-    the excluded set and it is sorted once: linear in the word's length.
+    punctures the point the running shift sends to 0, so the shift is
+    #g - #h.  The letters are checked by `_bad_letter` and evaluated by
+    `_nf_of_letters`, neither of which runs a Python loop over a word it
+    accepts: linear in the word's length, at C speed.
     """
-    shift = 0
-    excluded = set()
-    for pos, ch in enumerate(word):
-        if ch == "g":
-            shift += 1
-        elif ch == "h":
-            shift -= 1
-        elif ch == "e":
-            excluded.add(-shift)
-        else:
-            raise ValueError(f"bad symbol {ch!r} at position {pos} (expected g, h or e)")
-    return NF._from_internal(tuple(sorted(excluded)), shift)
+    bad = _bad_letter(word)
+    if bad is not None:
+        raise ValueError(f"bad symbol {bad[1]!r} at position {bad[0]} (expected g, h or e)")
+    return _nf_of_letters(word.encode("ascii"))
 
 
 def nf_window(a: NF, half_width: int) -> PartialMap:

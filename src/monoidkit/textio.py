@@ -5,7 +5,7 @@ Grammars (sizes are inferred from the content):
     partial map   [2,_,1]          one entry per point, _ for undefined
     partition     {1 2'}{2}{1'}    blocks of points, prime marks the lower row
     normal form   {-2,-1};+2       ascending excluded list, then signed shift
-    word          gege             letters over g, h, e
+    word          gege             letters over g, h, e, possibly none
 
 Each element's `str` is its canonical text (`format_element` is `str`);
 parsing that text returns an equal element, whose `str` is the same text.
@@ -28,13 +28,17 @@ zero or `-0`), read with `str.split` and `int`; if its items ascend
 strictly, the element keeps the text as its own and never prints it again.
 Any other text (an item with spaces or a leading zero, a point out of
 range or named twice, an unsorted list, a numeral too long for `int`)
-goes to the reader.  The map and normal-form readers share one
-bracketed-list reader (`_read_list`), and the map and partition readers
-one point-label check (`_label`).  Text outside a grammar raises
-`ParseError`, whose position lies in 0..len(text); the CLI prints it as
-`parse error: position P: reason` and exits with status 2.  Every path
-runs in time linear in the text: a table lookup reads each item once, and
-the pattern cannot backtrack into a digit run it has already read.
+goes to the reader.  A word has no reader: one `bytes.translate` that
+deletes g, h and e from its ASCII text checks it, and only a word that
+fails is scanned letter by letter, for the first bad symbol's position;
+`nf_of_word`'s evaluation then runs in C-level passes.  The map and
+normal-form readers share one bracketed-list reader (`_read_list`), and
+the map and partition readers one point-label check (`_label`).  Text
+outside a grammar raises `ParseError`, whose position lies in
+0..len(text); the CLI prints it as `parse error: position P: reason` and
+exits with status 2.  Every path runs in time linear in the text: a
+table lookup reads each item once, and the pattern cannot backtrack into
+a digit run it has already read.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import re
 from operator import lt
 
 from .elements import PartialMap, Partition, blocks_by_label, is_kind, map_item_table, point_table
-from .pmonoid import NF, nf_of_word
+from .pmonoid import NF, _bad_letter, _nf_of_letters
 
 
 class ParseError(ValueError):
@@ -230,10 +234,13 @@ def _read_nf(text: str) -> NF:
 
 
 def parse_word(text: str) -> NF:
-    for pos, ch in enumerate(text):
-        if ch not in "ghe":
-            raise ParseError(f"bad symbol {ch!r} (expected g, h or e)", pos)
-    return nf_of_word(text)
+    """Evaluate a word as `nf_of_word` does, with its check and its
+    evaluation; the first letter outside g, h and e is a parse error at its
+    own position.  No Python loop visits the letters of an accepted word."""
+    bad = _bad_letter(text)
+    if bad is not None:
+        raise ParseError(f"bad symbol {bad[1]!r} (expected g, h or e)", bad[0])
+    return _nf_of_letters(text.encode("ascii"))
 
 
 def parse_element(kind: str, text: str):

@@ -517,6 +517,15 @@ def test_closed_pipe_ends_quietly():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_undecodable_word_byte_is_a_parse_error():
+    """A byte that is not UTF-8 reaches the word as a lone surrogate; it is
+    reported at its position like any bad symbol, not as a codec error."""
+    proc = _child("-m", "monoidkit", "mul", "--kind", "word", b"g\xff")
+    out, err = proc.communicate(timeout=60)
+    message = b"parse error: position 1: bad symbol '\\udcff' (expected g, h or e)\n"
+    assert (proc.returncode, out, err) == (2, b"", message)
+
+
 @pytest.mark.parametrize("module", ["monoidkit", "monoidkit.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     """Checked in a fresh interpreter, since pytest itself imports inspect."""

@@ -33,6 +33,7 @@ from monoidkit.pmonoid import (
     y_n,
 )
 import annihilator_oracle
+import word_oracle
 from sweep_oracle import nc_sweep, presentation_relations, presentation_sweep
 
 
@@ -64,6 +65,15 @@ def test_word_matches_product_of_letters():
         for ch in word:
             expected = nf_mul(expected, letters[ch])
         assert nf_of_word(word) == expected, word
+
+
+def test_every_short_word_matches_letter_loop():
+    """All 3,280 words of at most 7 letters: both parities of length, and
+    every way a pair of letters can hold an e."""
+    for length in range(8):
+        for letters in itertools.product("ghe", repeat=length):
+            word = "".join(letters)
+            assert nf_of_word(word) == word_oracle.nf_of_word(word), word
 
 
 def test_word_rejects_bad_symbol():

@@ -8,6 +8,7 @@ Examples are drawn deterministically, so every run checks the same cases.
 import contextlib
 import io
 import itertools
+import random
 
 import pytest
 
@@ -18,11 +19,12 @@ from monoidkit.cli import main  # noqa: E402
 from monoidkit.elements import PartialMap, Partition, find, is_kind, joining, min_root_join, min_root_labels  # noqa: E402
 from monoidkit.ideals import meet  # noqa: E402
 from monoidkit.order import leq_L, leq_R  # noqa: E402
-from monoidkit.pmonoid import NF, nf_mul, nf_window  # noqa: E402
-from monoidkit.textio import ParseError, format_element, parse_element  # noqa: E402
+from monoidkit.pmonoid import NF, nf_mul, nf_of_word, nf_window  # noqa: E402
+from monoidkit.textio import ParseError, format_element, parse_element, parse_word  # noqa: E402
 
 from canonical_oracle import canonical  # noqa: E402
 from kernel_oracle import component_labels, find_labels, joining_links, leq_R_by_kernels  # noqa: E402
+import word_oracle  # noqa: E402
 
 COORD = 20
 HALF = 4 * COORD  # products puncture up to 2 * COORD and shift up to 2 * COORD
@@ -161,6 +163,34 @@ def test_text_parses_or_fails_in_range(kind, text):
         parse_element(kind, text)
     except ParseError as exc:
         assert 0 <= exc.position <= len(text), (exc.position, text)
+
+
+def _random_word(seed, length):
+    return "".join(random.Random(seed).choices("ghe", k=length))
+
+
+def _runs(runs):
+    """Runs of one letter, up to 600 long: more than 127 equal steps in a
+    row, and walks that go past +-256."""
+    return "".join(letter * length for letter, length in runs)[:5000]
+
+
+words = st.one_of(
+    st.builds(_random_word, st.integers(0, 2**32 - 1), st.integers(0, 5000)),
+    st.lists(st.tuples(st.sampled_from("ghe"), st.integers(1, 600)), max_size=20).map(_runs),
+)
+
+
+@deterministic
+@given(words)
+@example("")
+@example("e" * 300)
+@example("g" * 300)
+@example("h" * 300 + "e" + "g" * 700 + "e" + "h" * 128)
+def test_word_matches_letter_loop(word):
+    expected = word_oracle.nf_of_word(word)
+    assert nf_of_word(word) == expected
+    assert parse_word(word) == expected
 
 
 # --- preorders and meets past enumeration -----------------------------------------

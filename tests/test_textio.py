@@ -7,6 +7,7 @@ import time
 
 import pytest
 import scanner_oracle
+import word_oracle
 from canonical_oracle import canonical
 
 from monoidkit.elements import PartialMap, Partition, enumerate_elements, is_kind, map_item_table, point_table
@@ -631,6 +632,74 @@ def test_canonical_text_is_fixed_point():
     for text in ("[2,_,1]", "{1 2'}{2}{1'}", "{-2,-1};+2"):
         kind = {"[": "PT", "{": "P" if "'" in text else "NF"}[text[0]]
         assert format_element(parse_element(kind, text)) == text
+
+
+# --- words -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "word,symbol,position",
+    [
+        ("x", "'x'", 0),
+        ("G", "'G'", 0),
+        ("é", "'é'", 0),
+        ("\0", "'\\x00'", 0),
+        ("\udcff", "'\\udcff'", 0),
+        ("gehXxéG", "'X'", 3),
+        ("ghe" * 1000 + "\udcffx", "'\\udcff'", 3000),
+    ],
+)
+def test_word_errors_name_the_first_bad_symbol(word, symbol, position):
+    """Both messages, exactly as the letter loop words them, and the loop
+    agrees."""
+    with pytest.raises(ValueError) as err:
+        nf_of_word(word)
+    assert str(err.value) == f"bad symbol {symbol} at position {position} (expected g, h or e)"
+    with pytest.raises(ValueError) as oracle_err:
+        word_oracle.nf_of_word(word)
+    assert str(oracle_err.value) == str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_word(word)
+    assert (err.value.reason, err.value.position) == (f"bad symbol {symbol} (expected g, h or e)", position)
+    with pytest.raises(ParseError) as oracle_err:
+        word_oracle.parse_word(word)
+    assert str(oracle_err.value) == str(err.value)
+
+
+@pytest.mark.parametrize("word", [b"geg", ["g", "e"], ("g",), None, 5])
+def test_a_word_must_be_a_str(word):
+    for evaluate in (nf_of_word, parse_word):
+        with pytest.raises(ValueError) as err:
+            evaluate(word)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"a word is a str, not {type(word).__name__}"
+
+
+def _line_events(function, argument):
+    """The Python lines run by one call, counted through `sys.settrace`."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        function(argument)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("evaluate", [nf_of_word, parse_word])
+def test_word_cost_has_no_per_letter_python_step(evaluate):
+    """A host-independent cost bound: evaluating a word runs as many Python
+    lines at 10 letters as at 10^5, so no Python loop visits its letters."""
+    rng = random.Random(38)
+    short, long = ("".join(rng.choices("ghe", k=n)) for n in (10, 10**5))
+    assert _line_events(evaluate, short) == _line_events(evaluate, long) > 0
 
 
 # --- DOT rendering -------------------------------------------------------------
