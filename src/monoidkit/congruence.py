@@ -30,15 +30,12 @@ import struct
 from array import array
 from collections import deque, namedtuple
 
-from .elements import enumerate_elements, generators, identity_of, is_left, joining, min_root_join, min_root_labels
+from .elements import enumerate_elements, generators, identity_of, joining, min_root_join, min_root_labels
 
 
 def _mask(indices):
     """The int whose bit x is set iff x is among the indices."""
-    mask = 0
-    for x in set(indices):
-        mask |= 1 << x
-    return mask
+    return sum(map((1).__lshift__, set(indices)))
 
 
 class FiniteMonoid:
@@ -50,6 +47,9 @@ class FiniteMonoid:
     over the indices.  A row is `bytes` on at most 256 elements, an
     `array('H')` on at most 65,536 and an `array('I')` past that: 1, 2 or 4
     bytes an entry.  Row 0 is the identity's, `range(m)`, never multiplied.
+    A full monoid finds an element's index by its type and its value tuple
+    (`images` or `blocks`, read in C), so no Python `__hash__` or `__eq__`
+    runs; a monoid built from given elements keys them by themselves.
 
     Every read of uncached rows makes one choice for all of them (`rows`;
     `row` reads one).  Without generators each row is computed with `*` on
@@ -64,15 +64,15 @@ class FiniteMonoid:
     ideals of `opposite()`.
     """
 
-    def __init__(self, elements, mul=None, check=True):
+    def __init__(self, elements, mul=None, check=True, _type=object, _key=None):
         self.elements = list(elements)
         if not self.elements:
             raise ValueError("a monoid needs at least an identity")
-        self._index = {}
-        for i, x in enumerate(self.elements):
-            if x in self._index:
-                raise ValueError(f"duplicate element {x!r}")
-            self._index[x] = i
+        self._type, self._key, self._index = _type, _key, {}
+        for i, k in enumerate(self.elements if _key is None else map(_key, self.elements)):
+            if k in self._index:
+                raise ValueError(f"duplicate element {self.elements[i]!r}")
+            self._index[k] = i
         self._start(mul if mul is not None else operator.mul, None)
         if check:
             one = self.elements[0]
@@ -99,21 +99,24 @@ class FiniteMonoid:
         elements = enumerate_elements(kind, n)
         one = identity_of(kind, n)
         elements.remove(one)
-        S = cls([one] + elements, check=False)
-        S._generators = [S._index[g] for g in generators(kind, n)]
+        key = operator.attrgetter("blocks" if kind == "P" else "images")
+        S = cls([one] + elements, check=False, _type=type(one), _key=key)
+        S._generators = [S._index[key(g)] for g in generators(kind, n)]
         return S
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self._index
+        return isinstance(x, self._type) and (x if self._key is None else self._key(x)) in self._index
 
     def index_of(self, x):
         try:
-            return self._index[x]
+            if isinstance(x, self._type):
+                return self._index[x if self._key is None else self._key(x)]
         except KeyError:
-            raise ValueError(f"{x!r} is not an element of this monoid") from None
+            pass
+        raise ValueError(f"{x!r} is not an element of this monoid")
 
     def row(self, i):
         """Indices of a*x for every x, a = elements[i]; the cached row, not
@@ -143,9 +146,9 @@ class FiniteMonoid:
         if i == 0:
             row = range(len(self.elements))
         else:
-            a = self.elements[i]
+            products = map(self._mul_fn, itertools.repeat(self.elements[i]), self.elements)
             try:
-                row = [self._index[self._mul_fn(a, b)] for b in self.elements]
+                row = list(map(self._index.__getitem__, products if self._key is None else map(self._key, products)))
             except KeyError as exc:
                 raise ValueError(f"not closed under product: {exc.args[0]!r}") from None
             self._product_rows += 1
@@ -210,14 +213,24 @@ class FiniteMonoid:
             ideal = self._right_ideals[i] = _mask(self.row(i))
         return ideal
 
+    def right_ideal(self, a):
+        """`right_ideal_idx(index_of(a))`, in one frame once it is cached."""
+        try:
+            i = self._index[a if self._key is None else self._key(a)] if isinstance(a, self._type) else -1
+            return self._right_ideals[i]
+        except KeyError:  # not an element, or not cached yet
+            return self.right_ideal_idx(self.index_of(a))
+
     def idempotent_idxs(self):
         """One product per element; no row is filled."""
         return [i for i, x in enumerate(self.elements) if self._mul_fn(x, x) == x]
 
     def on_side(self, side):
         """The monoid whose right side is the given side of this one: this
-        monoid for 'R', its opposite for 'L'."""
-        return self.opposite() if is_left(side) else self
+        monoid for 'R', its opposite for 'L'; any other side is refused."""
+        if side not in ("R", "L"):
+            raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+        return self if side == "R" else self.opposite()
 
     def opposite(self):
         """The same elements with reversed multiplication, built once: it
@@ -227,7 +240,7 @@ class FiniteMonoid:
             fn = self._mul_fn
             op = self._opposite = object.__new__(type(self))
             # Set in __init__'s order: a copied __dict__ slows every lookup.
-            op.elements, op._index = self.elements, self._index
+            op.elements, op._type, op._key, op._index = self.elements, self._type, self._key, self._index
             op._start(lambda a, b: fn(b, a), self._generators)
             op._opposite = self
         return self._opposite

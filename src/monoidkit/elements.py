@@ -9,7 +9,6 @@ structures can use dense integer indexing throughout.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
 from functools import lru_cache, wraps
 from math import comb, factorial
 
@@ -136,11 +135,7 @@ class PartialMap:
 
     @property
     def is_injective(self):
-        # The set holds each defined image once, and None once if any point
-        # is undefined.
-        images = self.images
-        undefined = images.count(None)
-        return len(set(images)) == len(images) - undefined + (undefined > 0)
+        return is_kind(self, "I")
 
     def inverse(self):
         if not self.is_injective:
@@ -293,7 +288,7 @@ class Partition:
         if not self.blocks:
             return ""
         names = point_table(self.n)[0]
-        return "{%s}" % "}{".join([" ".join([names[p] for p in block]) for block in self.blocks])
+        return "{%s}" % "}{".join([" ".join(map(names.__getitem__, block)) for block in self.blocks])
 
     def __repr__(self):
         return f"Partition({self.n}, '{self}')"
@@ -351,20 +346,15 @@ def blocks_by_label(label):
     return tuple([tuple(g) for g in groups.values()])
 
 
-def row_points(block, n, lower):
-    """The points of an ascending block on one row: the upper points are a
-    prefix and the lower ones, stored as n+x, the rest."""
-    cut = bisect(block, n)
-    return block[cut:] if lower else block[:cut]
-
-
 def is_kind(x, kind) -> bool:
+    """Whether x is of the kind, in one frame that reads no property; an
+    unknown kind is refused, once the known ones are ruled out."""
     if kind == "T":
-        return isinstance(x, PartialMap) and x.is_total
+        return isinstance(x, PartialMap) and None not in x.images
     if kind == "PT":
         return isinstance(x, PartialMap)
-    if kind == "I":
-        return isinstance(x, PartialMap) and x.is_injective
+    if kind == "I":  # as many distinct defined images as defined points
+        return isinstance(x, PartialMap) and len(set(im := x.images)) - (None in im) == len(im) - im.count(None)
     if kind == "P":
         return isinstance(x, Partition)
     raise ValueError(f"unknown kind {kind!r}")
@@ -376,20 +366,15 @@ def require_kind(x, kind):
 
 
 def check_pair(kind, a, b, side="R"):
-    """Refuse, in this order, an element not of the kind, a side other
-    than 'R' or 'L' and two sizes; whether the side is the left one."""
-    require_kind(a, kind)
-    require_kind(b, kind)
-    left = is_left(side)
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    return left
-
-
-def is_left(side) -> bool:
-    """Whether a side, 'R' or 'L', is the left one; any other is refused."""
+    """Refuse, in this order, an element not of the kind (a, then b), a side
+    other than 'R' or 'L' and two sizes; whether the side is the left one."""
+    for x in (a, b):
+        if not is_kind(x, kind):
+            raise ValueError(f"{x!r} is not of kind {kind}")
     if side not in ("R", "L"):
         raise ValueError(f"side must be 'R' or 'L', got {side!r}")
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     return side == "L"
 
 
@@ -516,11 +501,12 @@ def embed(pair, a):
     whose rows both have trivial kernels; PT->T totalises on n+1 points, sending
     every undefined point (and the sink itself) to the sink n+1.
     """
+    if pair not in EMBEDDINGS:
+        raise ValueError(f"unknown embedding {pair!r} (expected one of {EMBEDDINGS})")
+    require_kind(a, pair.split("->")[0])
     if pair == "I->PT":
-        require_kind(a, "I")
         return a
     if pair == "I->P":
-        require_kind(a, "I")
         n = a.n
         blocks = []
         used_lower = set()
@@ -533,8 +519,5 @@ def embed(pair, a):
                 used_lower.add(v)
         blocks.extend((n + y,) for y in range(1, n + 1) if y not in used_lower)
         return Partition._from_internal(n, tuple(blocks))
-    if pair == "PT->T":
-        require_kind(a, "PT")
-        sink = a.n + 1
-        return PartialMap._from_internal(tuple([sink if v is None else v for v in a.images] + [sink]))
-    raise ValueError(f"unknown embedding {pair!r} (expected one of {EMBEDDINGS})")
+    sink = a.n + 1  # PT->T
+    return PartialMap._from_internal(tuple([sink if v is None else v for v in a.images] + [sink]))

@@ -10,10 +10,11 @@ point.  One partition kernel serves both sides; a side chooses the row read.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import namedtuple
 
 from .congruence import FiniteMonoid
-from .elements import PartialMap, Partition, check_pair, min_root_join, row_points
+from .elements import PartialMap, Partition, check_pair, min_root_join
 
 
 class MeetResult(namedtuple("MeetResult", "generator empty")):
@@ -39,6 +40,9 @@ class MeetResult(namedtuple("MeetResult", "generator empty")):
         return cls(None, True)
 
 
+_EMPTY = MeetResult.nothing()  # the kernels' results are built past the check, with tuple.__new__
+
+
 def _meet_right_pt(a, b):
     """The right meet of two checked partial maps.
 
@@ -52,20 +56,16 @@ def _meet_right_pt(a, b):
     minimum plus one, a point of 1..n, so the result needs no re-validation.
     """
 
-    def links():
-        for images in (a.images, b.images):
-            first = {}
-            for x, v in enumerate(images):
-                if v is not None:
-                    y = first.setdefault(v, x)
-                    if y != x:
-                        yield x, y
-
-    roots = min_root_join(a.n, links())
+    links = []
+    for images in (a.images, b.images):
+        first = {}
+        for x, v in enumerate(images):
+            if v is not None and first.setdefault(v, x) != x:
+                links.append((x, first[v]))
+    roots = min_root_join(a.n, links)
     dropped = {r for r, u, v in zip(roots, a.images, b.images) if u is None or v is None}
-    return MeetResult.found(
-        PartialMap._from_internal(tuple([None if r in dropped else r + 1 for r in roots]))
-    )
+    generator = PartialMap._from_internal(tuple([None if r in dropped else r + 1 for r in roots]))
+    return tuple.__new__(MeetResult, (generator, False))
 
 
 def _meet_left(kind, a, b):
@@ -80,11 +80,10 @@ def _meet_left(kind, a, b):
     """
     common = a.im() & b.im()
     if kind == "T" and a.n and not common:
-        return MeetResult.nothing()
+        return _EMPTY
     fill = min(common, default=None) if kind == "T" else None
-    return MeetResult.found(
-        PartialMap._from_internal(tuple([x if x in common else fill for x in range(1, a.n + 1)]))
-    )
+    generator = PartialMap._from_internal(tuple([x if x in common else fill for x in range(1, a.n + 1)]))
+    return tuple.__new__(MeetResult, (generator, False))
 
 
 def _meet_partition(lower, a, b):
@@ -100,24 +99,24 @@ def _meet_partition(lower, a, b):
     n = a.n
     links, own_only = [], []
     for block in a.blocks + b.blocks:
-        points = row_points(block, n, lower)
+        points = block[bisect(block, n):] if lower else block[:bisect(block, n)]  # upper points first
         if len(points) == len(block):
             own_only.append(block)
         for p in points[1:]:
             links.append((p, points[0]))
     roots = min_root_join(2 * n + 1, links)  # indexed by stored point
-    own_row = row_points(range(1, 2 * n + 1), n, lower)
+    own_row = range(n + 1, 2 * n + 1) if lower else range(1, n + 1)
     classes = {}
     for p in own_row:
         classes.setdefault(roots[p], []).append(p)
     for block in own_only:
         if len(classes[roots[block[0]]]) != len(block):
-            return MeetResult.nothing()
+            return _EMPTY
     whole = {roots[block[0]] for block in own_only}
     other = -n if lower else n  # from a point to its copy on the other row
     blocks = [tuple(c) if r in whole else tuple(sorted([*c, r + other])) for r, c in classes.items()]
-    blocks.extend((p + other,) for p in own_row if p not in classes or p in whole)
-    return MeetResult.found(Partition._from_internal(n, tuple(sorted(blocks))))
+    blocks.extend([(p + other,) for p in own_row if p not in classes or p in whole])
+    return tuple.__new__(MeetResult, (Partition._from_internal(n, tuple(sorted(blocks))), False))
 
 
 def meet(kind, side, a, b) -> MeetResult:
@@ -133,12 +132,13 @@ def verify_meet(S: FiniteMonoid, a, b, result: MeetResult, side="R") -> bool:
     """Brute-force check that the meet result is exact within S.
 
     Intersects both principal right ideals of S on the side, as bitmasks,
-    and compares with the generator's (or with emptiness).
+    and compares with the generator's (or with emptiness; outside S, fails).
     """
     S = S.on_side(side)
-    inter = S.right_ideal_idx(S.index_of(a)) & S.right_ideal_idx(S.index_of(b))
+    inter = S.right_ideal(a) & S.right_ideal(b)
     if result.empty:
         return not inter
-    if result.generator not in S:
+    try:
+        return S.right_ideal(result.generator) == inter
+    except ValueError:
         return False
-    return S.right_ideal_idx(S.index_of(result.generator)) == inter

@@ -14,13 +14,17 @@ bitmask, and scans the product row only to find a witness.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect
 from collections import namedtuple
 
-from .elements import check_pair, row_points
+from .elements import check_pair
 
 
 class OrderVerdict(namedtuple("OrderVerdict", "holds witness", defaults=(None,))):
     __slots__ = ()
+
+
+_FALSE = OrderVerdict(False)  # a holding verdict is built with tuple.__new__, past namedtuple's own
 
 
 def leq_R(kind, a, b) -> bool:
@@ -51,7 +55,7 @@ def _leq_partition(a, b, lower):
         for p in block:
             label[p] = k
     for block in b.blocks:
-        own = row_points(block, n, lower)
+        own = block[bisect(block, n):] if lower else block[:bisect(block, n)]  # upper points first
         if own:
             k = label[own[0]]
             for p in own:
@@ -67,10 +71,10 @@ def leq_oracle(S, a, b, side="R") -> OrderVerdict:
     in b's ideal by its cached bitmask in S or in its opposite, and only
     then is b's product row scanned for s."""
     sided = S.on_side(side)
-    ia, ib = S.index_of(a), S.index_of(b)
-    if not sided.right_ideal_idx(ib) >> ia & 1:
-        return OrderVerdict(False)
-    return OrderVerdict(True, S.elements[_first_index(sided.row(ib), ia)])
+    ia = S.index_of(a)
+    if not sided.right_ideal(b) >> ia & 1:
+        return _FALSE
+    return tuple.__new__(OrderVerdict, (True, S.elements[_first_index(sided.row(S.index_of(b)), ia)]))
 
 
 def _first_index(row, value):

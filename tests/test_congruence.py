@@ -66,6 +66,65 @@ def test_foreign_elements_rejected(T2):
         rc_close(T2, [(ID2, pm(1, 2, 3))])
 
 
+@pytest.mark.parametrize("kind, other", [("P", PartialMap([])), ("T", Partition(0, []))])
+def test_an_element_of_another_type_with_the_same_value_is_refused(kind, other):
+    """PartialMap([]) and Partition(0, []) both have the value (): a full
+    monoid looks elements up by value tuple, but only after their type."""
+    S = cached_monoid(kind, 0)
+    assert (S.elements[0].blocks if kind == "P" else S.elements[0].images) == ()
+    assert other not in S and other not in S.opposite()
+    for lookup in (S.index_of, S.right_ideal, S.opposite().index_of):
+        with pytest.raises(ValueError) as err:
+            lookup(other)
+        assert str(err.value) == f"{other!r} is not an element of this monoid"
+
+
+@pytest.mark.parametrize("kind, n, other", [
+    ("T", 3, pm(2, 1)),
+    ("T", 2, pm(2, 1, 3)),
+    ("I", 2, PartialMap([])),
+    ("PT", 2, pm(None)),
+    ("P", 2, Partition.identity(3)),
+    ("P", 2, Partition(1, [[1], [-1]])),
+])
+def test_an_element_of_the_kind_but_another_size_is_refused(kind, n, other):
+    S = cached_monoid(kind, n)
+    assert other not in S
+    for lookup in (S.index_of, S.right_ideal):
+        with pytest.raises(ValueError) as err:
+            lookup(other)
+        assert str(err.value) == f"{other!r} is not an element of this monoid"
+
+
+def test_a_monoid_of_given_elements_keys_them_by_themselves():
+    m = 5
+    S = FiniteMonoid(range(m), mul=lambda a, b: (a + b) % m)
+    assert [S.index_of(x) for x in range(m)] == list(range(m))
+    assert 3 in S and m not in S and "3" not in S and 3.0 in S
+    assert list(S.row(2)) == [(2 + x) % m for x in range(m)]
+    assert list(S.opposite().row(2)) == list(S.row(2))
+    assert S.right_ideal(2) == S.right_ideal_idx(2) == 2**m - 1
+    with pytest.raises(ValueError, match=f"^{m} is not an element of this monoid$"):
+        S.index_of(m)
+    T = FiniteMonoid(cached_monoid("T", 2).elements)
+    assert [T.index_of(x) for x in T.elements] == [0, 1, 2, 3] and T.row(1) == cached_monoid("T", 2).row(1)
+
+
+def test_unhashable_input_is_no_element_of_a_full_monoid(T2):
+    """A full monoid checks the type first, so an unhashable value is not
+    an element (ValueError from a lookup, False from `in`); a monoid of
+    given elements looks the value up as it is, and the dict raises."""
+    assert [1, 2] not in T2
+    asks = (T2.index_of, T2.right_ideal, lambda x: leq_oracle(T2, x, ID2), lambda x: verify_meet(T2, x, ID2, None))
+    for ask in asks:
+        with pytest.raises(ValueError, match=r"^\[1, 2\] is not an element of this monoid$"):
+            ask([1, 2])
+    generic = FiniteMonoid(range(3), mul=lambda a, b: (a + b) % 3)
+    for ask in (generic.__contains__, generic.index_of, generic.right_ideal):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            ask([1])
+
+
 def test_opposite_monoid(T2):
     op = T2.opposite()
     i, j = T2.index_of(CONST1), T2.index_of(SWAP)

@@ -11,7 +11,9 @@ from monoidkit.elements import (
     enumerate_elements,
     generators,
     identity_of,
+    is_kind,
 )
+from monoidkit.verify import cached_monoid
 
 from canonical_oracle import canonical
 from kernel_oracle import carrier, dom, join, ker, kerhat, pairs, rel, restrict, subset_of, upper_blocks
@@ -203,6 +205,34 @@ def test_is_injective_matches_distinct_defined_images(n):
     for a in enumerate_elements("PT", n):
         defined = [v for v in a.images if v is not None]
         assert a.is_injective == (len(defined) == len(set(defined))), a
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_is_kind_matches_the_definitions(n):
+    """T: no undefined point; I: distinct defined images; PT: any map; P:
+    any partition; anything else is of no kind."""
+    for a in enumerate_elements("PT", n):
+        defined = [v for v in a.images if v is not None]
+        expected = {"T": len(defined) == n, "PT": True, "I": len(defined) == len(set(defined)), "P": False}
+        assert {kind: is_kind(a, kind) for kind in expected} == expected, a
+    for x in enumerate_elements("P", min(n, 2)):
+        assert [is_kind(x, kind) for kind in ("T", "PT", "I", "P")] == [False, False, False, True]
+    for x in (None, (1,), [1], "T"):
+        assert not any(is_kind(x, kind) for kind in ("T", "PT", "I", "P"))
+        with pytest.raises(ValueError, match="^unknown kind 'Q'$"):
+            is_kind(x, "Q")
+
+
+class _Relabelled(PartialMap):
+    __slots__ = ()
+
+
+def test_a_subclass_of_partial_map_keeps_its_kinds_and_its_index():
+    x = _Relabelled([2, 1])
+    assert [is_kind(x, kind) for kind in ("T", "PT", "I", "P")] == [True, True, True, False]
+    assert not is_kind(_Relabelled([1, 1]), "I") and not is_kind(_Relabelled([None, 1]), "T")
+    S = cached_monoid("T", 2)
+    assert x in S and S.index_of(x) == S.index_of(pm(2, 1))
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -5,9 +5,10 @@ import pytest
 
 from monoidkit.elements import KINDS, PartialMap, Partition, enumerate_elements
 from monoidkit.ideals import MeetResult, meet, verify_meet
-from monoidkit.order import leq_L, leq_R, leq_oracle
+from monoidkit.order import OrderVerdict, leq_L, leq_R, leq_oracle
 from monoidkit.verify import cached_monoid
 
+import meets_cost
 from canonical_oracle import canonical
 from kernel_oracle import dom, join, ker, restrict, upper_blocks
 from star_oracle import left_side_pairs, meet_left_by_star
@@ -18,10 +19,43 @@ def pm(*images):
 
 
 def test_meet_result_is_one_of_two_shapes():
-    with pytest.raises(ValueError, match="^exactly one of generator/empty must be set$"):
-        MeetResult(None, False)
-    with pytest.raises(ValueError, match="^exactly one of generator/empty must be set$"):
-        MeetResult(pm(1, 2), True)
+    found, nothing = MeetResult.found(pm(1, 2)), MeetResult.nothing()
+    refusals = (
+        lambda: MeetResult(None, False),
+        lambda: MeetResult(pm(1, 2), True),
+        lambda: MeetResult.found(None),
+        lambda: MeetResult._make([None, False]),
+        lambda: MeetResult._make((pm(1, 2), True)),
+        lambda: found._replace(empty=True),
+        lambda: nothing._replace(generator=pm(1, 2)),
+        lambda: meet("T", "R", pm(1, 2), pm(2, 1))._replace(generator=None),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError, match="^exactly one of generator/empty must be set$"):
+            refused()
+
+
+@pytest.mark.parametrize("kind, n", [("T", 2), ("PT", 2), ("I", 2), ("P", 2)])
+def test_records_built_past_the_checks_equal_constructed_ones(kind, n):
+    """The kernels and `leq_oracle` build their records with tuple.__new__;
+    each is of its class and equal to the record its constructor makes."""
+    S = cached_monoid(kind, n)
+    for a, b in itertools.product(S.elements, repeat=2):
+        for side in ("R", "L"):
+            result, verdict = meet(kind, side, a, b), leq_oracle(S, a, b, side)
+            assert type(result) is MeetResult and type(verdict) is OrderVerdict
+            constructed = MeetResult.nothing() if result.empty else MeetResult.found(result.generator)
+            assert result == MeetResult(*result) == constructed
+            assert verdict == OrderVerdict(*verdict) and (verdict.witness is None) == (not verdict.holds)
+
+
+@pytest.mark.parametrize("side", ["R", "L"])
+@pytest.mark.parametrize("kind, n", meets_cost.CARRIERS)
+def test_one_meets_operation_stays_within_its_call_budget(kind, n, side):
+    """A host-independent cost contract: parsing two texts, their meet and
+    its check, the side's preorder, the oracle and both prints make at most
+    55 Python-level calls on average (`tests/meets_cost.py` counts them)."""
+    assert meets_cost.mean_calls(kind, n, side) <= meets_cost.BUDGET == 55
 
 
 # --- right meets for maps ----------------------------------------------------
